@@ -11,7 +11,6 @@
 #include "core/check.h"
 #include "core/parallel.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_des.h"
 #include "telemetry/telemetry.h"
 
 namespace mtia {
@@ -53,9 +52,8 @@ latencyHistogramConfig()
 
 /**
  * One server replica: M chips + a deadline-aware batcher, plus every
- * counter its requests touch. A replica IS a ParallelDes partition:
- * all of this state is mutated only by events on the replica's own
- * queue, so replicas run concurrently with no sharing. The local
+ * counter its requests touch. The controller never reads this state;
+ * it learns about a replica only through fabric messages. The local
  * counters and histogram are merged (in replica index order) into the
  * ClusterResult after the run.
  */
@@ -89,11 +87,10 @@ struct SimReplica
 };
 
 /**
- * One simulation run, partitioned over a ParallelDes: partition 0 is
- * the controller plane (trace admission, routing, health sweeps,
- * failover orchestration) and partition 1 + r is replica r. The two
- * sides interact ONLY through des_.post() messages carrying the
- * fabric's one-way latency, which equals the epoch width:
+ * One simulation run on one EventQueue. The controller plane (trace
+ * admission, routing, health sweeps, failover orchestration) and the
+ * replicas interact ONLY through fabric messages, each an event
+ * scheduled one fabric latency after its send:
  *
  *   controller -> replica: request admission, drain command after a
  *                          detected failover, restart command
@@ -105,8 +102,7 @@ struct SimReplica
  * The controller routes on its OWN view of per-replica outstanding
  * rows (incremented at route time, decremented when completion / drain
  * credits arrive a latency later) — the usual stale-view routing of a
- * real distributed serving tier, and the property that keeps every
- * partition's state single-writer.
+ * real distributed serving tier.
  */
 class RunState
 {
@@ -114,7 +110,7 @@ class RunState
     RunState(const ClusterConfig &cfg, double qps, Tick duration,
              std::uint64_t seed, telemetry::Telemetry *tel)
         : cfg_(cfg), qps_(qps), duration_(duration), tel_(tel),
-          net_(cfg.fabric.latency()), des_(1 + cfg.replicas, net_),
+          net_(cfg.fabric.latency()),
           controller_(cfg.replicas, cfg.health,
                       makeRoutingPolicy(cfg.routing, cfg.replicas)),
           hist_total_(latencyHistogramConfig())
@@ -140,7 +136,7 @@ class RunState
             rep->chips.resize(cfg_.chips_per_replica);
             rep->shard_rows.assign(cfg_.embedding_shards, 0);
             rep->batcher = std::make_unique<DynamicBatcher>(
-                repq(r), bcfg, [this, r](ClusterBatch &&batch) {
+                eq_, bcfg, [this, r](ClusterBatch &&batch) {
                     dispatchBatch(r, std::move(batch));
                 });
             replicas_.push_back(std::move(rep));
@@ -169,15 +165,7 @@ class RunState
     ClusterResult run();
 
   private:
-    /** The controller plane is partition 0... */
-    static constexpr unsigned kCtrl = 0;
-    /** ...and replica @p r is partition 1 + r. */
-    static unsigned pid(unsigned r) { return 1 + r; }
-
-    EventQueue &ctrlq() { return des_.queue(kCtrl); }
-    EventQueue &repq(unsigned r) { return des_.queue(pid(r)); }
-
-    // ------------------------------------------- controller partition
+    // -------------------------------------------------- controller plane
 
     /** Route one request (fresh arrival or failover re-admission). */
     void admit(const ClusterRequest &req)
@@ -188,20 +176,18 @@ class RunState
             return;
         }
         ctrl_outstanding_[idx] += req.candidates;
-        des_.post(kCtrl, pid(idx), ctrlq().now() + net_,
-                  [this, idx, req]() {
-                      replicas_[idx]->batcher->add(req);
-                  });
+        eq_.schedule(eq_.now() + net_, [this, idx, req]() {
+            replicas_[idx]->batcher->add(req);
+        });
     }
 
     /** A sweep declared @p r Down: drain it, schedule its restart. */
     void handleDetectedDown(unsigned r, Tick now)
     {
         const std::uint64_t cycle = ++ctrl_cycle_[r];
-        des_.post(kCtrl, pid(r), now + net_,
-                  [this, r]() { drainReplica(r); });
-        ctrlq().schedule(now + cfg_.health.restart_delay,
-                         [this, r, cycle]() { beginRestart(r, cycle); });
+        eq_.schedule(now + net_, [this, r]() { drainReplica(r); });
+        eq_.schedule(now + cfg_.health.restart_delay,
+                     [this, r, cycle]() { beginRestart(r, cycle); });
     }
 
     void beginRestart(unsigned r, std::uint64_t cycle)
@@ -210,25 +196,24 @@ class RunState
             return; // superseded by a later detection cycle
         // Cycle match means no later detection ran, so the replica is
         // still Down on the controller and markWarmingUp is legal.
-        controller_.markWarmingUp(r, ctrlq().now());
-        des_.post(kCtrl, pid(r), ctrlq().now() + net_,
-                  [this, r, cycle]() { restartReplica(r, cycle); });
+        controller_.markWarmingUp(r, eq_.now());
+        eq_.schedule(eq_.now() + net_,
+                     [this, r, cycle]() { restartReplica(r, cycle); });
     }
 
     void scheduleHealthSweep(Tick t)
     {
         if (t >= hb_until_)
             return;
-        ctrlq().schedule(t, [this, t]() {
-            const std::vector<unsigned> down =
-                controller_.checkHealth(ctrlq().now());
+        eq_.schedule(t, [this, t]() {
+            const std::vector<unsigned> down = controller_.checkHealth(t);
             for (const unsigned r : down)
-                handleDetectedDown(r, ctrlq().now());
+                handleDetectedDown(r, t);
             scheduleHealthSweep(t + cfg_.health.heartbeat_interval);
         });
     }
 
-    // ---------------------------------------------- replica partition
+    // --------------------------------------------------------- replicas
 
     void enqueueChipJob(unsigned rep_idx, unsigned chip_idx, Tick dur,
                         JobDone done)
@@ -256,15 +241,14 @@ class RunState
         chip.queue.pop_front();
         chip.busy_accum += dur;
         const std::uint64_t epoch = rep.epoch;
-        EventQueue &eq = repq(rep_idx);
-        eq.scheduleAfter(dur, [this, rep_idx, chip_idx, epoch]() {
+        eq_.scheduleAfter(dur, [this, rep_idx, chip_idx, epoch]() {
             SimReplica &r = *replicas_[rep_idx];
             if (!r.alive || r.epoch != epoch)
                 return;
             JobDone fire = std::move(r.chips[chip_idx].inflight);
-            fire(repq(rep_idx).now());
+            fire(eq_.now());
         });
-        eq.scheduleAfter(
+        eq_.scheduleAfter(
             dur + cfg_.service.dispatch_gap,
             [this, rep_idx, chip_idx, epoch]() {
                 SimReplica &r = *replicas_[rep_idx];
@@ -356,12 +340,11 @@ class RunState
         }
         rep.inflight.erase(it);
         // Credit the controller's load view a network latency later.
-        des_.post(pid(rep_idx), kCtrl, end + net_,
-                  [this, rep_idx, rows]() {
-                      ctrl_outstanding_[rep_idx] -= rows;
-                      MTIA_DCHECK_GE(ctrl_outstanding_[rep_idx], 0)
-                          << ": completion over-credited a replica";
-                  });
+        eq_.schedule(end + net_, [this, rep_idx, rows]() {
+            ctrl_outstanding_[rep_idx] -= rows;
+            MTIA_DCHECK_GE(ctrl_outstanding_[rep_idx], 0)
+                << ": completion over-credited a replica";
+        });
     }
 
     void killReplica(unsigned r, Tick now)
@@ -380,7 +363,7 @@ class RunState
         ++rep.kills;
         // The controller learns the TRUE death tick (for the failover
         // detection-latency stats) one network latency later.
-        des_.post(pid(r), kCtrl, now + net_, [this, r, now]() {
+        eq_.schedule(now + net_, [this, r, now]() {
             controller_.noteDeath(r, now);
         });
     }
@@ -394,21 +377,22 @@ class RunState
             for (ClusterRequest &req : reqs)
                 pending.push_back(req);
         rep.inflight.clear();
-        // Mailbox FIFO order guarantees every admission the controller
-        // sent before the drain command has already landed in the
-        // batcher, so this response returns ALL unfinished requests.
-        des_.post(pid(r), kCtrl, repq(r).now() + net_,
-                  [this, r, pending = std::move(pending)]() {
-                      std::int64_t rows = 0;
-                      for (const ClusterRequest &req : pending)
-                          rows += req.candidates;
-                      ctrl_outstanding_[r] -= rows;
-                      MTIA_DCHECK_GE(ctrl_outstanding_[r], 0)
-                          << ": drain over-credited a replica";
-                      rerouted_ += pending.size();
-                      for (const ClusterRequest &req : pending)
-                          admit(req);
-                  });
+        // Same-latency messages dispatch in (when, seq) order, so every
+        // admission the controller sent before the drain command has
+        // already landed in the batcher, and this response returns ALL
+        // unfinished requests.
+        eq_.schedule(eq_.now() + net_,
+                     [this, r, pending = std::move(pending)]() {
+                         std::int64_t rows = 0;
+                         for (const ClusterRequest &req : pending)
+                             rows += req.candidates;
+                         ctrl_outstanding_[r] -= rows;
+                         MTIA_DCHECK_GE(ctrl_outstanding_[r], 0)
+                             << ": drain over-credited a replica";
+                         rerouted_ += pending.size();
+                         for (const ClusterRequest &req : pending)
+                             admit(req);
+                     });
     }
 
     void restartReplica(unsigned r, std::uint64_t cycle)
@@ -418,33 +402,28 @@ class RunState
         rep.alive = true;
         rep.slowdown = cfg_.health.warmup_slowdown;
         const std::uint64_t epoch = rep.epoch;
-        repq(r).scheduleAfter(
-            cfg_.health.warmup, [this, r, epoch, cycle]() {
-                SimReplica &warmed = *replicas_[r];
-                if (!warmed.alive || warmed.epoch != epoch)
-                    return; // killed again mid-warm-up
-                warmed.slowdown = 1.0;
-                des_.post(pid(r), kCtrl, repq(r).now() + net_,
-                          [this, r, cycle]() {
-                              // Stale acks (superseded cycle, or the
-                              // replica already re-detected Down) are
-                              // ignored; staleness re-detection owns
-                              // the killed-mid-warm-up path.
-                              if (ctrl_cycle_[r] != cycle)
-                                  return;
-                              if (controller_.health(r) ==
-                                  ReplicaHealth::WarmingUp)
-                                  controller_.markHealthy(
-                                      r, ctrlq().now());
-                          });
+        eq_.scheduleAfter(cfg_.health.warmup, [this, r, epoch, cycle]() {
+            SimReplica &warmed = *replicas_[r];
+            if (!warmed.alive || warmed.epoch != epoch)
+                return; // killed again mid-warm-up
+            warmed.slowdown = 1.0;
+            eq_.schedule(eq_.now() + net_, [this, r, cycle]() {
+                // Stale acks (superseded cycle, or the replica already
+                // re-detected Down) are ignored; staleness re-detection
+                // owns the killed-mid-warm-up path.
+                if (ctrl_cycle_[r] != cycle)
+                    return;
+                if (controller_.health(r) == ReplicaHealth::WarmingUp)
+                    controller_.markHealthy(r, eq_.now());
             });
+        });
     }
 
     void handleChaos(const ChaosEvent &e)
     {
         SimReplica &rep = *replicas_[e.replica];
         if (e.kind == ChaosKind::ReplicaKill) {
-            killReplica(e.replica, repq(e.replica).now());
+            killReplica(e.replica, eq_.now());
             return;
         }
         if (!rep.alive)
@@ -473,7 +452,7 @@ class RunState
             // Crash-equivalent index fault: the replica dies and the
             // failover machinery takes over.
             ++rep.ecc_crashes;
-            killReplica(e.replica, repq(e.replica).now());
+            killReplica(e.replica, eq_.now());
             break;
         }
     }
@@ -482,10 +461,10 @@ class RunState
     {
         if (t >= hb_until_)
             return;
-        repq(r).schedule(t, [this, r, t]() {
+        eq_.schedule(t, [this, r, t]() {
             if (replicas_[r]->alive)
-                des_.post(pid(r), kCtrl, t + net_, [this, r]() {
-                    controller_.heartbeat(r, ctrlq().now());
+                eq_.schedule(t + net_, [this, r]() {
+                    controller_.heartbeat(r, eq_.now());
                 });
             scheduleHeartbeat(r, t + cfg_.health.heartbeat_interval);
         });
@@ -496,9 +475,9 @@ class RunState
     Tick duration_;
     telemetry::Telemetry *tel_;
 
-    /** One-way controller<->replica latency; also the epoch width. */
+    /** One-way controller<->replica fabric latency. */
     Tick net_;
-    ParallelDes des_;
+    EventQueue eq_;
     ClusterController controller_;
     std::vector<std::unique_ptr<SimReplica>> replicas_;
     std::vector<ClusterRequest> trace_;
@@ -506,7 +485,7 @@ class RunState
     /** Last tick heartbeat / sweep chains stay live (trace + grace). */
     Tick hb_until_ = 0;
 
-    // Controller-partition state: the control plane's LAGGED view of
+    // Controller-plane state: the control plane's LAGGED view of
     // per-replica outstanding rows, and the per-replica failover cycle
     // counter that fences stale restart / warm-up messages.
     std::vector<std::int64_t> ctrl_outstanding_;
@@ -514,7 +493,7 @@ class RunState
     std::uint64_t rerouted_ = 0;
     std::uint64_t dropped_ = 0;
 
-    // Merged from the replica partitions after the run.
+    // Merged from the replicas after the run.
     std::vector<std::int64_t> shard_rows_;
     telemetry::LogHistogram hist_total_;
     telemetry::LogHistogram *reg_total_ = nullptr;
@@ -523,24 +502,21 @@ class RunState
 ClusterResult
 RunState::run()
 {
-    // Arrivals replay the fixed trace on the controller partition;
-    // chaos replays its fixed timeline on the replica it strikes;
-    // heartbeats and health sweeps tick until the trace ends plus a
-    // grace window (sweeps offset half an interval past the ack
+    // Arrivals replay the fixed trace; chaos replays its fixed
+    // timeline; heartbeats and health sweeps tick until the trace ends
+    // plus a grace window (sweeps offset half an interval past the ack
     // arrivals so acks land first).
     for (std::size_t i = 0; i < trace_.size(); ++i)
-        ctrlq().schedule(trace_[i].arrival,
-                         [this, i]() { admit(trace_[i]); });
+        eq_.schedule(trace_[i].arrival, [this, i]() { admit(trace_[i]); });
     for (std::size_t i = 0; i < chaos_.size(); ++i)
-        repq(chaos_[i].replica)
-            .schedule(chaos_[i].time,
-                      [this, i]() { handleChaos(chaos_[i]); });
+        eq_.schedule(chaos_[i].time,
+                     [this, i]() { handleChaos(chaos_[i]); });
     for (unsigned r = 0; r < cfg_.replicas; ++r)
         scheduleHeartbeat(r, cfg_.health.heartbeat_interval);
     scheduleHealthSweep(cfg_.health.heartbeat_interval +
                         cfg_.health.heartbeat_interval / 2 + net_);
 
-    des_.run();
+    eq_.run();
 
     ClusterResult out;
     out.policy = routingPolicyKindName(cfg_.routing);
@@ -549,8 +525,6 @@ RunState::run()
     out.rerouted = rerouted_;
     out.dropped = dropped_;
 
-    // Replica-local results merge in replica index order — a fixed
-    // order, so the merged bytes are lane-count independent.
     std::uint64_t completed_in_window = 0;
     for (const auto &rep : replicas_) {
         hist_total_.merge(rep->hist);
@@ -604,10 +578,14 @@ RunState::run()
         out.mean_recovery_ms =
             recover_sum / static_cast<double>(recovered);
 
+    // Fail closed: once the queue drains, every arrival has completed
+    // or dropped, and each completion landed in the histogram once.
+    MTIA_CHECK_EQ(out.arrivals, out.completed + out.dropped)
+        << ": cluster run lost or duplicated requests";
+    MTIA_CHECK_EQ(hist_total_.count(), out.completed)
+        << ": latency histogram disagrees with completions";
+
     if (tel_ != nullptr) {
-        // Telemetry flushes strictly after the parallel phase ends:
-        // the registry is shared across the process and must only be
-        // touched from the caller thread.
         if (reg_total_ != nullptr)
             reg_total_->merge(hist_total_);
         auto &m = tel_->metrics;
@@ -628,12 +606,8 @@ RunState::run()
         m.counter("cluster.ecc", {{"outcome", "crash"}})
             .inc(out.ecc_crashes);
         m.counter("cluster.failovers").inc(out.failovers);
-        m.counter("sim.events_executed").inc(des_.executed());
-        m.counter("cluster.des_epochs").inc(des_.epochsRun());
-        m.counter("cluster.des_messages").inc(des_.messagesDelivered());
-        // The controller queue carries the cluster-wide control plane;
-        // it stands in for the run in the queue-shape metrics.
-        ctrlq().publishMetrics(m);
+        m.counter("sim.events_executed").inc(eq_.executed());
+        eq_.publishMetrics(m);
     }
     return out;
 }
@@ -698,11 +672,11 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
         << ": cluster needs at least one embedding shard";
     MTIA_CHECK_GT(cfg_.batcher.slo, 0u) << ": cluster needs an SLO";
 
-    // The fabric latency is the parallel DES epoch width, and the
-    // control-plane protocol leans on it being small against the
-    // health timers: a heartbeat must cross the fabric within one
-    // interval (else freshly-booted replicas look silent), and a
-    // drain round trip must finish before the restart command lands.
+    // The control-plane protocol leans on the fabric latency being
+    // small against the health timers: a heartbeat must cross the
+    // fabric within one interval (else freshly-booted replicas look
+    // silent), and a drain round trip must finish before the restart
+    // command lands.
     const Tick net = cfg_.fabric.latency();
     MTIA_CHECK_GE(net, 1u) << ": fabric latency must be at least one tick";
     MTIA_CHECK_LT(net, cfg_.health.heartbeat_interval)
@@ -735,9 +709,8 @@ ClusterSimulator::sweep(const std::vector<double> &qps, Tick duration,
 {
     const Rng base(seed);
     // One fork substream per load point; telemetry-detached because
-    // the registry is shared mutable state across lanes. Each point's
-    // own partition phase then runs inline (nested region), so the
-    // bytes match a serial sweep exactly.
+    // the registry is shared mutable state across lanes. Each point
+    // is a sequential run, so the bytes match a serial sweep exactly.
     return parallelMap(qps.size(), [&](std::size_t i) {
         return simulateImpl(qps[i], duration, base.fork(i).next(),
                             nullptr);

@@ -15,25 +15,19 @@
  * chaos mode (replica kills + ECC storms from the Section 5.1
  * campaigns) exercise the paper's productionization story.
  *
- * Parallel execution: the simulation is partitioned by chip owner —
- * partition 0 is the controller/host plane (trace admission, routing,
- * health sweeps, failover orchestration) and partition 1 + r is
- * replica r (batcher, chips, in-flight batches, local counters). Each
- * partition owns a bucketed EventQueue on a lane of the PR-3
- * deterministic pool, and partitions talk ONLY through
- * sim/parallel_des.h mailboxes: every controller<->replica message
- * (admission, heartbeat ack, death/completion notice, drain
- * command/response, restart, warm-up completion) rides the modeled
- * host/network boundary with latency ClusterFabric::latency(), which
- * is also the conservative epoch width — so cross-partition events
- * always land strictly after the epoch barrier that exchanges them.
+ * One run is one EventQueue. The controller/host plane (trace
+ * admission, routing, health sweeps, failover orchestration) and the
+ * replicas (batcher, chips, in-flight batches, local counters) talk
+ * ONLY through messages over the modeled host/network boundary: every
+ * controller<->replica message (admission, heartbeat ack,
+ * death/completion notice, drain command/response, restart, warm-up
+ * completion) is an event ClusterFabric::latency() after its send.
  *
  * Determinism: one seeded Rng per run (trace and chaos take fork
- * substreams), pre-generated chaos timelines, and the ParallelDes
- * index-ordered mailbox drain make every run byte-identical at any
- * MTIA_THREADS lane count — simulate() over partitions, and sweep()
- * over load points (whose nested simulate() partitions then run
- * inline), both meet the repo's standing determinism bar.
+ * substreams), pre-generated chaos timelines, and (when, seq) event
+ * order make every run byte-identical; sweep() runs load points on
+ * the deterministic lane pool and is byte-identical at any
+ * MTIA_THREADS lane count.
  */
 
 #include <cstdint>
@@ -72,13 +66,11 @@ struct ClusterServiceModel
 };
 
 /**
- * The controller<->replica boundary: every cross-partition message
+ * The controller<->replica boundary: every message between them
  * (request admission, heartbeat ack, drain traffic, restart commands)
  * crosses the host PCIe link plus a switched network hop. latency()
- * is the one-way cost — and, being the minimum cross-partition
- * latency, the epoch width of the conservative parallel DES: larger
- * switch latency = wider epochs = fewer barriers, at the price of
- * coarser control-plane reactivity.
+ * is the one-way cost: larger switch latency = a staler controller
+ * view and coarser control-plane reactivity.
  */
 struct ClusterFabric
 {
@@ -89,7 +81,7 @@ struct ClusterFabric
     /** Network hop beyond the host link (ToR switch + host stack). */
     Tick switch_latency = fromMillis(2.0);
 
-    /** One-way controller<->replica latency; also the epoch width. */
+    /** One-way controller<->replica latency. */
     Tick latency() const
     {
         return switch_latency + PcieLink(pcie).transferTime(message_bytes);
@@ -103,7 +95,7 @@ struct ClusterConfig
     unsigned chips_per_replica = 2;
     unsigned embedding_shards = 8;
     RoutingPolicyKind routing = RoutingPolicyKind::LeastLoaded;
-    /** Cross-partition boundary model (also the DES epoch width). */
+    /** Controller<->replica boundary model. */
     ClusterFabric fabric;
     /** Batch close policy; batcher.slo is THE request SLO. The
      * service estimate fields are derived from `service` at run time

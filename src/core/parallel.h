@@ -111,22 +111,6 @@ class ScopedParallelism
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body);
 
 /**
- * Barrier-phased parallel execution for conservative time-windowed
- * simulation: repeatedly run @p body(i) for every i in [0, n) (one
- * parallelFor — a full barrier — per phase), then run @p between()
- * serially on the calling thread; stop when @p between() returns
- * false. @p between is also the only place shared state may be
- * touched: during a phase the usual parallelFor rule applies (each
- * index owns its slot, no cross-index mutation). The phase/barrier
- * alternation is identical at any lane count, so a body that is
- * deterministic per index keeps the whole loop byte-identical —
- * the property the partitioned DES (sim/parallel_des.h) builds on.
- */
-void parallelPhases(std::size_t n,
-                    const std::function<void(std::size_t)> &body,
-                    const std::function<bool()> &between);
-
-/**
  * Map i -> fn(i) over [0, n), returning results in index order. The
  * result type must be default-constructible and must not be bool
  * (std::vector<bool> shares words between slots). Determinism: same

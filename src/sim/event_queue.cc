@@ -21,7 +21,7 @@ EventQueue::schedule(Tick when, Callback &&cb)
     if (n->cb.storedInline())
         ++inline_callbacks_;
     // Sliding window: ring_base_ only advances when a tick is actually
-    // dispatched (committed alongside now_ in run()/runUntil()), so
+    // dispatched (committed alongside now_ in run()), so
     // when >= now_ >= ring_base_ holds here and the subtraction cannot
     // wrap. Even if it did, a wrapped difference is huge and routes the
     // event to the far heap, which orders any tick correctly.
@@ -55,54 +55,6 @@ EventQueue::run()
         drainCurrentSlot();
     }
     return now_;
-}
-
-Tick
-EventQueue::runUntil(Tick limit)
-{
-    while (pending() > 0) {
-        if (ring_count_ == 0) {
-            if (far_.front().when > limit)
-                break;
-            promoteFar();
-        }
-        Tick t = nextRingTick();
-        // The dispatch tick is min(earliest ring tick, overflow front):
-        // if that minimum is past the limit, nothing at or before the
-        // limit remains. Checked before touching any queue state so an
-        // early exit leaves the window base and both buckets untouched.
-        if (!far_.empty() && far_.front().when < t)
-            t = far_.front().when;
-        if (t > limit)
-            break;
-        if (!far_.empty() && far_.front().when <= t)
-            t = pullEligibleFar(t);
-        MTIA_DCHECK_GE(t, now_) << ": event queue tick regression";
-        now_ = t;
-        ring_base_ = t;
-        drainCurrentSlot();
-    }
-    // Whether the queue drained or the earliest remaining event sits
-    // past the limit, time advances to the limit itself: parallel
-    // partitions calling runUntil(epoch_end) in lockstep all agree on
-    // now() afterwards, which is what makes barrier-delivered events
-    // at epoch_end + 1 schedulable on every partition.
-    if (now_ < limit)
-        now_ = limit;
-    return now_;
-}
-
-Tick
-EventQueue::nextEventTick() const
-{
-    MTIA_CHECK_GT(pending(), 0u)
-        << ": nextEventTick on an empty queue";
-    if (ring_count_ == 0)
-        return far_.front().when;
-    Tick t = nextRingTick();
-    if (!far_.empty() && far_.front().when < t)
-        t = far_.front().when;
-    return t;
 }
 
 void

@@ -96,26 +96,6 @@ class EventQueue
     Tick run();
 
     /**
-     * Run every event with timestamp <= @p limit — the limit tick is
-     * INCLUSIVE — then set now() to max(now(), limit) whether the
-     * queue drained or later events remain pending. Epoch-barrier
-     * callers rely on both halves of that contract: events landing
-     * exactly on an epoch's last tick run inside that epoch, and
-     * after the call every partition clock reads exactly the epoch
-     * end, so a message scheduled at limit + 1 is never "in the
-     * past" on any partition.
-     */
-    Tick runUntil(Tick limit);
-
-    /**
-     * Timestamp of the earliest pending event (ring scan or overflow
-     * front, whichever is sooner). @pre pending() > 0. Used by
-     * epoch-barrier drivers to pick the next synchronization window
-     * without dispatching anything.
-     */
-    Tick nextEventTick() const;
-
-    /**
      * Drop all pending events (simulation teardown). Constant-time
      * structural reset plus one destructor call per dropped callback;
      * now() and executed() are unchanged.
@@ -203,8 +183,7 @@ class EventQueue
     Node *popRing(std::size_t slot);
     /**
      * Earliest occupied tick in the ring. Pure scan: ring_base_ is
-     * committed only when a tick is dispatched, so an early-exiting
-     * runUntil() never leaves the window ahead of now().
+     * committed only when a tick is dispatched.
      * @pre ring_count_ > 0.
      */
     Tick nextRingTick() const;

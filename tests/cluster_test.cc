@@ -4,13 +4,18 @@
  * policies, the deadline-aware dynamic batcher, controller health
  * transitions, chaos timelines, and the end-to-end cluster simulator
  * — including the chaos determinism bar (byte-identical summaries at
- * MTIA_THREADS 1 vs 8 and across same-seed runs).
+ * MTIA_THREADS 1 vs 8 and across same-seed runs) and a golden of the
+ * 64-chip chaos scenario.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/chaos.h"
@@ -485,15 +490,13 @@ TEST(ClusterSimTest, ChaosRunByteIdenticalAcrossLaneCountsAndRuns)
 
 TEST(ClusterSimTest, PartitionedChaosByteIdenticalAcrossLanes)
 {
-    // The tentpole determinism bar: ONE simulate() call is itself a
-    // parallel program now (controller + one partition per replica on
-    // the lane pool), and a full-chaos run — kills AND an ECC storm,
-    // exercising failover drains, re-routes, restarts, retries, and
-    // crash-kills across the epoch-barrier mailboxes — must render a
-    // byte-identical summary at every lane count and across same-seed
-    // repeats.
+    // A single simulate() call under a full-chaos run — kills AND an
+    // ECC storm, exercising failover drains, re-routes, restarts,
+    // retries, and crash-kills — must render a byte-identical summary
+    // whatever the MTIA_THREADS lane count of the calling process, and
+    // across same-seed repeats.
     ClusterConfig cfg = testClusterConfig();
-    cfg.replicas = 8; // more partitions than some lane counts
+    cfg.replicas = 8;
     cfg.chaos.enabled = true;
     cfg.chaos.mean_kill_interval_s = 1.0;
     cfg.chaos.mean_storm_interval_s = 0.5;
@@ -521,6 +524,69 @@ TEST(ClusterSimTest, PartitionedChaosByteIdenticalAcrossLanes)
     // A different seed is a genuinely different experiment.
     ScopedParallelism serial(1);
     EXPECT_NE(sim.simulate(400.0, dur, 1234).summary(), base);
+}
+
+TEST(ClusterSimTest, TotalOutageTerminatesAndConserves)
+{
+    // One replica of one chip, killed and stormed every ~50 ms: the
+    // cluster is dark for most of the run, so arrivals find nothing
+    // routable and drop. The run must still drain to quiescence and
+    // account for every arrival.
+    ClusterConfig cfg = testClusterConfig();
+    cfg.replicas = 1;
+    cfg.chips_per_replica = 1;
+    cfg.chaos.enabled = true;
+    cfg.chaos.mean_kill_interval_s = 0.05;
+    cfg.chaos.mean_storm_interval_s = 0.05;
+    const ClusterResult r =
+        ClusterSimulator(cfg).simulate(200.0, fromSeconds(1.0), 7);
+    EXPECT_EQ(r.arrivals, 214u);
+    EXPECT_EQ(r.completed, 22u);
+    EXPECT_EQ(r.dropped, 192u);
+    EXPECT_EQ(r.completed + r.dropped, r.arrivals);
+    EXPECT_GT(r.kills, 0u);
+}
+
+TEST(ClusterSimTest, SixtyFourChipChaosMatchesGolden)
+{
+    // 32 replicas x 2 chips, 16 shards, replica kills + ECC storms at
+    // 12k QPS for 2 s (seed 99), under both routing policies. The
+    // golden pins every summary byte of the largest in-tree cluster
+    // scenario; regenerate it with MTIA_REGEN_GOLDEN=1 ./cluster_test
+    // only after an intentional change to the simulated model.
+    std::string summaries;
+    for (const RoutingPolicyKind routing :
+         {RoutingPolicyKind::LeastLoaded, RoutingPolicyKind::ShardHash}) {
+        ClusterConfig cfg;
+        cfg.replicas = 32;
+        cfg.chips_per_replica = 2;
+        cfg.embedding_shards = 16;
+        cfg.routing = routing;
+        cfg.trace.users = 1'000'000;
+        cfg.trace.user_zipf_alpha = 1.1;
+        cfg.trace.traffic.candidates_mean = 64;
+        cfg.chaos.enabled = true;
+        cfg.chaos.mean_kill_interval_s = 1.0;
+        cfg.chaos.mean_storm_interval_s = 0.5;
+        summaries += ClusterSimulator(cfg)
+                         .simulate(12000.0, fromSeconds(2.0), 99)
+                         .summary();
+    }
+
+    const std::string path =
+        std::string(MTIA_GOLDEN_DIR) + "/cluster_chaos_64chip.txt";
+    if (std::getenv("MTIA_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out.is_open()) << path;
+        out << summaries;
+        return;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open())
+        << path << " missing; run with MTIA_REGEN_GOLDEN=1";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(summaries, golden.str());
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 
 #include "core/parallel.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_des.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -229,20 +228,6 @@ TEST(EventQueue, CallbacksCanScheduleMore)
     EXPECT_EQ(q.now(), 45u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(100, [&] { ++fired; });
-    q.runUntil(50);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 50u);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, ClearDropsPending)
 {
     EventQueue q;
@@ -310,84 +295,6 @@ TEST(EventQueue, ClearTenThousandEventsIsAStructuralReset)
     q.scheduleAfter(1, [&] { ++fired; });
     q.run();
     EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RunUntilEventExactlyAtLimitFires)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(50, [&] { ++fired; });
-    q.runUntil(50);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 50u);
-    EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, RunUntilCallbackSchedulingAtNowRunsInSameCall)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(20, [&] {
-        order.push_back(1);
-        q.schedule(q.now(), [&] { order.push_back(2); });
-    });
-    q.runUntil(20);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now(), 20u);
-}
-
-TEST(EventQueue, RunUntilEarlyExitLeavesWindowConsistent)
-{
-    // Regression: nextRingTick() used to advance the ring window base
-    // before runUntil() checked the limit, so an early exit left the
-    // base ahead of now(). A later schedule() could then admit a ring
-    // event under the stale window (B@1900 below lands in a slot keyed
-    // off base 900), and once a far event below the window retreated
-    // the base, that event fired at the wrong tick (876 instead of
-    // 1900) — silently in release builds, where the drain DCHECK is
-    // compiled out.
-    EventQueue q;
-    std::vector<Tick> ticks;
-    auto record = [&] { ticks.push_back(q.now()); };
-    q.schedule(900, record);
-    q.runUntil(100); // exits early: earliest event is past the limit
-    EXPECT_EQ(q.now(), 100u);
-    EXPECT_EQ(q.pending(), 1u);
-    // One event inside the stale window [900, 900 + kRingSlots) the
-    // bug would have admitted into the ring...
-    q.schedule(1900, record);
-    // ...and one below it (but >= now()) to force the base to retreat.
-    q.schedule(500, record);
-    q.run();
-    EXPECT_EQ(ticks, (std::vector<Tick>{500, 900, 1900}));
-    EXPECT_EQ(q.now(), 1900u);
-    EXPECT_EQ(q.executed(), 3u);
-}
-
-TEST(EventQueue, RunUntilEarlyExitThenScheduleBelowPendingTick)
-{
-    // Same stale-window shape, far-heap flavor: after an early exit,
-    // scheduling between now() and the pending tick must not wrap the
-    // window subtraction into misrouting.
-    EventQueue q;
-    std::vector<Tick> ticks;
-    const Tick far = static_cast<Tick>(EventQueue::kRingSlots) * 3;
-    q.schedule(far, [&] { ticks.push_back(q.now()); });
-    q.runUntil(10);
-    EXPECT_EQ(q.now(), 10u);
-    q.schedule(20, [&] { ticks.push_back(q.now()); });
-    q.run();
-    EXPECT_EQ(ticks, (std::vector<Tick>{20, far}));
-}
-
-TEST(EventQueue, RunUntilDrainingEarlyAdvancesToLimit)
-{
-    EventQueue q;
-    q.runUntil(1234);
-    EXPECT_EQ(q.now(), 1234u);
-    q.schedule(2000, [] {});
-    q.runUntil(5000);
-    EXPECT_EQ(q.now(), 5000u);
 }
 
 TEST(EventQueue, OverflowEventPrecedesLaterRingEventAtSameTick)
@@ -488,68 +395,6 @@ TEST(EventQueue, OversizedCaptureFallsBackToHeapBox)
     EXPECT_EQ(got, 7u);
 }
 
-TEST(EventQueue, RunUntilLimitIsInclusiveOnBothExitPaths)
-{
-    // Epoch-barrier contract pin-down (release-mode: pure EXPECTs, no
-    // DCHECK reliance). An epoch runs runUntil(epoch_end) on every
-    // partition; the barrier then delivers messages at epoch_end + 1.
-    // That is only sound if (a) an event landing exactly on epoch_end
-    // runs INSIDE the epoch — not held over — and (b) every partition
-    // clock reads exactly epoch_end afterwards, whether it dispatched
-    // events up to the limit or exited early with work beyond it.
-    EventQueue busy;
-    std::vector<Tick> fired;
-    busy.schedule(99, [&] { fired.push_back(busy.now()); });
-    busy.schedule(100, [&] { fired.push_back(busy.now()); }); // at limit
-    busy.schedule(101, [&] { fired.push_back(busy.now()); }); // beyond
-    busy.runUntil(100);
-    EXPECT_EQ(fired, (std::vector<Tick>{99, 100}));
-    EXPECT_EQ(busy.now(), 100u);
-    EXPECT_EQ(busy.pending(), 1u);
-
-    EventQueue idle; // early exit: earliest pending is past the limit
-    idle.schedule(500, [] {});
-    idle.runUntil(100);
-    EXPECT_EQ(idle.now(), 100u);
-
-    // Both clocks agree at the epoch end, so a cross-partition message
-    // delivered at epoch_end + 1 is schedulable on either queue.
-    busy.schedule(101, [] {});
-    idle.schedule(101, [] {});
-    busy.run();
-    idle.run();
-    EXPECT_EQ(busy.executed(), 4u);
-    EXPECT_EQ(idle.executed(), 2u);
-}
-
-TEST(EventQueue, RunUntilAtLimitFiresWhenParkedInFarHeap)
-{
-    // The at-the-limit event must dispatch inside the epoch even when
-    // it sits in the overflow heap rather than the calendar ring.
-    EventQueue q;
-    const Tick limit = static_cast<Tick>(EventQueue::kRingSlots) * 4;
-    int fired = 0;
-    q.schedule(limit, [&] { ++fired; });
-    q.schedule(limit + 1, [&] { ++fired; });
-    q.runUntil(limit);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), limit);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, NextEventTickSeesRingAndFarHeap)
-{
-    EventQueue q;
-    q.schedule(static_cast<Tick>(EventQueue::kRingSlots) * 2, [] {});
-    EXPECT_EQ(q.nextEventTick(),
-              static_cast<Tick>(EventQueue::kRingSlots) * 2);
-    q.schedule(7, [] {}); // ring event below the far one
-    EXPECT_EQ(q.nextEventTick(), 7u);
-    q.runUntil(7);
-    EXPECT_EQ(q.nextEventTick(),
-              static_cast<Tick>(EventQueue::kRingSlots) * 2);
-}
-
 TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
 {
     // Property: the dispatch trace of a same-tick-heavy workload is a
@@ -567,9 +412,8 @@ TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
                 const std::uint64_t my = id++;
                 q.schedule(t, [&order, my] { order.push_back(my); });
             }
-            q.runUntil(t);
+            q.run();
         }
-        q.run();
         return order;
     };
     std::vector<std::vector<std::uint64_t>> base;
@@ -581,111 +425,6 @@ TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
         ScopedParallelism scope(lanes);
         EXPECT_EQ(parallelMap(kShards, trace), base)
             << "dispatch trace changed at " << lanes << " lanes";
-    }
-}
-
-TEST(ParallelDes, CrossPartitionLatencyAndCountsAreExact)
-{
-    ParallelDes des(2, 10);
-    std::vector<Tick> arrivals;
-    des.queue(0).schedule(5, [&] {
-        des.post(0, 1, des.queue(0).now() + 10, [&] {
-            arrivals.push_back(des.queue(1).now());
-        });
-    });
-    des.run();
-    // Delivery lands at exactly send + latency, not rounded to the
-    // barrier grid.
-    EXPECT_EQ(arrivals, (std::vector<Tick>{15}));
-    EXPECT_EQ(des.messagesDelivered(), 1u);
-    EXPECT_EQ(des.executed(), 2u);
-    EXPECT_EQ(des.epochsRun(), 2u);
-}
-
-TEST(ParallelDes, IdleEpochsAreSkipped)
-{
-    // A sparse timeline must not grind through every empty window:
-    // each epoch anchors at the globally earliest pending event.
-    ParallelDes des(4, 100);
-    int early = 0;
-    int late = 0;
-    des.queue(3).schedule(5, [&] { ++early; });
-    des.queue(2).schedule(1000000, [&] { ++late; });
-    des.run();
-    EXPECT_EQ(early, 1);
-    EXPECT_EQ(late, 1);
-    EXPECT_EQ(des.epochsRun(), 2u);
-}
-
-TEST(ParallelDes, MailboxFifoPreservesSendOrderAtSameTick)
-{
-    ParallelDes des(2, 10);
-    std::vector<int> order;
-    des.queue(0).schedule(3, [&] {
-        des.post(0, 1, 13, [&] { order.push_back(1); });
-        des.post(0, 1, 13, [&] { order.push_back(2); });
-    });
-    des.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(ParallelDes, BarrierDrainOrdersSourcesByIndex)
-{
-    // Both sources post to partition 0 at the same delivery tick; the
-    // barrier drains mailboxes in (dst, src, FIFO) index order, so
-    // source 1 precedes source 2 no matter which lane finished its
-    // epoch first.
-    ParallelDes des(3, 10);
-    std::vector<int> order;
-    des.queue(2).schedule(0, [&] {
-        des.post(2, 0, 10, [&] { order.push_back(2); });
-    });
-    des.queue(1).schedule(0, [&] {
-        des.post(1, 0, 10, [&] { order.push_back(1); });
-    });
-    des.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(ParallelDes, TokenRingTraceIdenticalAcrossLaneCounts)
-{
-    // Property: a token-ring workload with per-partition local chatter
-    // produces byte-identical per-partition event traces at any lane
-    // count — each partition logs only into its own slot, and all
-    // cross-partition flow rides the mailboxes.
-    constexpr unsigned kParts = 4;
-    constexpr Tick kLat = 50;
-    auto trace = []() {
-        ParallelDes des(kParts, kLat);
-        std::vector<std::vector<Tick>> logs(kParts);
-        std::function<void(unsigned, int)> hop = [&](unsigned p,
-                                                     int hops) {
-            logs[p].push_back(des.queue(p).now());
-            if (hops == 0)
-                return;
-            const unsigned next = (p + 1) % kParts;
-            des.post(p, next, des.queue(p).now() + kLat,
-                     [&hop, next, hops]() { hop(next, hops - 1); });
-        };
-        des.queue(0).schedule(0, [&hop]() { hop(0, 40); });
-        for (unsigned p = 0; p < kParts; ++p)
-            for (int i = 0; i < 8; ++i)
-                des.queue(p).schedule(
-                    static_cast<Tick>(i) * 7 + p, [&logs, &des, p]() {
-                        logs[p].push_back(des.queue(p).now());
-                    });
-        des.run();
-        return logs;
-    };
-    std::vector<std::vector<Tick>> base;
-    {
-        ScopedParallelism one(1);
-        base = trace();
-    }
-    for (const unsigned lanes : {2u, 8u}) {
-        ScopedParallelism scope(lanes);
-        EXPECT_EQ(trace(), base)
-            << "partition traces changed at " << lanes << " lanes";
     }
 }
 
