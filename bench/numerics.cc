@@ -141,8 +141,8 @@ main()
     numerics::resetStats();
     telemetry::MetricRegistry metrics;
     bench::Report report("numerics");
-    bench::row("simd backend", "sse2 / neon / scalar",
-               simd::backendName());
+    bench::row("dispatch tier", "scalar / sse2 / avx2 / avx512 / neon",
+               simd::isaName(simd::activeIsa()));
     report.metric("simd_lanes", static_cast<double>(simd::kLanes));
 
     // ---- conversion ----------------------------------------------

@@ -9,21 +9,8 @@
 #include "autotune/autotune_stats.h"
 #include "core/check.h"
 #include "core/parallel.h"
-#include "sim/random.h"
 
 namespace mtia {
-
-const char *
-surrogateKindName(SurrogateKind kind)
-{
-    switch (kind) {
-    case SurrogateKind::Stumps:
-        return "stumps";
-    case SurrogateKind::Mlp:
-        return "mlp";
-    }
-    MTIA_UNREACHABLE("bad SurrogateKind");
-}
 
 namespace {
 
@@ -172,160 +159,6 @@ class GradientBoostedStumps final : public CostSurrogate
     std::vector<Stump> stumps_;
 };
 
-// -------------------------------------------------------------- tiny MLP
-
-class TinyMlp final : public CostSurrogate
-{
-  public:
-    void
-    fit(const std::vector<FeatureVec> &x,
-        const std::vector<double> &y) override
-    {
-        MTIA_CHECK(!x.empty()) << ": surrogate fit on an empty sample set";
-        MTIA_CHECK_EQ(x.size(), y.size())
-            << ": surrogate features/costs length mismatch";
-        const std::size_t n = x.size();
-
-        // Standardize features and target from the training set; a
-        // constant column keeps scale 1 so the z-score stays finite.
-        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-            double sum = 0.0;
-            for (const FeatureVec &row : x)
-                sum += row[f];
-            mu_[f] = sum / static_cast<double>(n);
-            double var = 0.0;
-            for (const FeatureVec &row : x)
-                var += (row[f] - mu_[f]) * (row[f] - mu_[f]);
-            sd_[f] = std::sqrt(var / static_cast<double>(n));
-            if (sd_[f] == 0.0)
-                sd_[f] = 1.0;
-        }
-        y_mu_ = std::accumulate(y.begin(), y.end(), 0.0) /
-            static_cast<double>(n);
-        double yvar = 0.0;
-        for (double v : y)
-            yvar += (v - y_mu_) * (v - y_mu_);
-        y_sd_ = std::sqrt(yvar / static_cast<double>(n));
-        if (y_sd_ == 0.0)
-            y_sd_ = 1.0;
-
-        std::vector<FeatureVec> z(n);
-        std::vector<double> t(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                z[i][f] = (x[i][f] - mu_[f]) / sd_[f];
-            t[i] = (y[i] - y_mu_) / y_sd_;
-        }
-
-        // Fixed-seed init: the model is a pure function of the
-        // training set, never of wall clock or address layout.
-        Rng rng(0x5eedf00dull);
-        const double s1 = 1.0 / std::sqrt(double{kSurrogateFeatures});
-        const double s2 = 1.0 / std::sqrt(double{kHidden});
-        for (auto &row : w1_)
-            for (double &w : row)
-                w = rng.uniform(-0.5, 0.5) * s1;
-        b1_.fill(0.0);
-        for (double &w : w2_)
-            w = rng.uniform(-0.5, 0.5) * s2;
-        b2_ = 0.0;
-
-        // Full-batch gradient descent, fixed epochs and order.
-        const double lr = kLearningRate / static_cast<double>(n);
-        std::array<double, kHidden> h{};
-        std::array<double, kHidden> gh{};
-        for (int epoch = 0; epoch < kEpochs; ++epoch) {
-            std::array<std::array<double, kSurrogateFeatures>, kHidden>
-                gw1{};
-            std::array<double, kHidden> gb1{};
-            std::array<double, kHidden> gw2{};
-            double gb2 = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                double out = b2_;
-                for (std::size_t j = 0; j < kHidden; ++j) {
-                    double a = b1_[j];
-                    for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                        a += w1_[j][f] * z[i][f];
-                    h[j] = std::tanh(a);
-                    out += w2_[j] * h[j];
-                }
-                const double err = out - t[i];
-                gb2 += err;
-                for (std::size_t j = 0; j < kHidden; ++j) {
-                    gw2[j] += err * h[j];
-                    gh[j] = err * w2_[j] * (1.0 - h[j] * h[j]);
-                    gb1[j] += gh[j];
-                    for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                        gw1[j][f] += gh[j] * z[i][f];
-                }
-            }
-            b2_ -= lr * gb2;
-            for (std::size_t j = 0; j < kHidden; ++j) {
-                w2_[j] -= lr * gw2[j];
-                b1_[j] -= lr * gb1[j];
-                for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                    w1_[j][f] -= lr * gw1[j][f];
-            }
-        }
-    }
-
-    double
-    predict(const FeatureVec &x) const override
-    {
-        double out = b2_;
-        for (std::size_t j = 0; j < kHidden; ++j) {
-            double a = b1_[j];
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                a += w1_[j][f] * (x[f] - mu_[f]) / sd_[f];
-            out += w2_[j] * std::tanh(a);
-        }
-        return out * y_sd_ + y_mu_;
-    }
-
-    std::string
-    describe() const override
-    {
-        std::ostringstream os;
-        os << "mlp";
-        for (std::size_t j = 0; j < kHidden; ++j) {
-            os << " h" << j << "=(";
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-                if (f != 0)
-                    os << ',';
-                hexDouble(os, w1_[j][f]);
-            }
-            os << ";";
-            hexDouble(os, b1_[j]);
-            os << ";";
-            hexDouble(os, w2_[j]);
-            os << ')';
-        }
-        os << " b2=";
-        hexDouble(os, b2_);
-        return os.str();
-    }
-
-    const char *
-    name() const override
-    {
-        return "mlp";
-    }
-
-  private:
-    static constexpr std::size_t kHidden = 16;
-    static constexpr int kEpochs = 1500;
-    static constexpr double kLearningRate = 0.05;
-
-    std::array<std::array<double, kSurrogateFeatures>, kHidden> w1_{};
-    std::array<double, kHidden> b1_{};
-    std::array<double, kHidden> w2_{};
-    double b2_ = 0.0;
-    std::array<double, kSurrogateFeatures> mu_{};
-    std::array<double, kSurrogateFeatures> sd_{};
-    double y_mu_ = 0.0;
-    double y_sd_ = 1.0;
-};
-
 // ------------------------------------------------------- toggle plumbing
 
 thread_local bool tls_override_active = false;
@@ -339,8 +172,6 @@ makeSurrogate(SurrogateKind kind)
     switch (kind) {
     case SurrogateKind::Stumps:
         return std::make_unique<GradientBoostedStumps>();
-    case SurrogateKind::Mlp:
-        return std::make_unique<TinyMlp>();
     }
     MTIA_UNREACHABLE("bad SurrogateKind");
 }
@@ -473,7 +304,8 @@ surrogateArgmin(std::size_t n,
         tx.push_back(feature(seeds[i]));
         ty.push_back(std::asinh(seed_cost[i]));
     }
-    const std::unique_ptr<CostSurrogate> model = makeSurrogate(opts.kind);
+    const std::unique_ptr<CostSurrogate> model =
+        makeSurrogate(SurrogateKind::Stumps);
     model->fit(tx, ty);
 
     // 3. Predict the whole grid (pure per index: lane-invariant).

@@ -11,16 +11,12 @@
  * measured evaluation only for a small seed batch plus the top-k
  * predicted candidates.
  *
- * Two backends sit behind one CostSurrogate interface:
- *
- *  - GradientBoostedStumps (default): an additive ensemble of
- *    depth-1 regression trees fitted to residuals. Thresholds are
- *    midpoints of sorted unique feature values; every argmin breaks
- *    ties toward the lowest feature index, then the lowest threshold,
- *    so the fitted model is a pure function of the training set.
- *  - TinyMlp: a 10-16-1 tanh network, weights initialized from a
- *    fixed-seed Rng and trained by full-batch gradient descent over a
- *    fixed epoch count on standardized features/targets.
+ * The backend behind the CostSurrogate interface is
+ * GradientBoostedStumps: an additive ensemble of depth-1 regression
+ * trees fitted to residuals. Thresholds are midpoints of sorted unique
+ * feature values; every argmin breaks ties toward the lowest feature
+ * index, then the lowest threshold, so the fitted model is a pure
+ * function of the training set.
  *
  * Determinism rules (the same contract as core/parallel.h): training
  * and prediction are serial double-precision arithmetic with a fixed
@@ -51,14 +47,10 @@ namespace mtia {
 constexpr std::size_t kSurrogateFeatures = 10;
 using FeatureVec = std::array<double, kSurrogateFeatures>;
 
-/** Which learned backend a sweep trains. */
+/** Which learned backend to construct. */
 enum class SurrogateKind : std::uint8_t {
-    Stumps, ///< gradient-boosted regression stumps (default)
-    Mlp,    ///< tiny fixed-seed multilayer perceptron
+    Stumps, ///< gradient-boosted regression stumps
 };
-
-/** Human-readable backend name ("stumps" / "mlp"). */
-const char *surrogateKindName(SurrogateKind kind);
 
 /**
  * One trained cost model: fit() on (features -> cost) samples, then
@@ -130,8 +122,6 @@ struct SurrogateSweepOptions
     std::size_t seed_count = 24;
     /** Predicted-best candidates re-checked with the real evaluator. */
     std::size_t top_k = 8;
-    /** Backend to train. */
-    SurrogateKind kind = SurrogateKind::Stumps;
     /**
      * Warm-start samples (typically k-nearest entries from a
      * PerfDatabase/GemmVariantDatabase KD-tree): extra training rows

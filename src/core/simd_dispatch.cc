@@ -52,7 +52,7 @@ cpuHasIsa(SimdIsa isa)
 }
 
 // Whether the micro-kernel TU for this tier exists in the binary. The
-// 128-bit tiers ride on core/simd.h's compile-time backend; the wider
+// 128-bit tiers ride on core/simd.h's compiled-in ISA; the wider
 // x86 tiers are separate TUs added by CMake only when the compiler
 // accepts their -m flags (MTIA_GEMM_HAVE_* definitions).
 bool

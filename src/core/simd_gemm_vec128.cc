@@ -9,7 +9,7 @@
 
 #include "core/simd_gemm.h"
 
-#if defined(MTIA_SIMD_SSE2) || defined(MTIA_SIMD_NEON)
+#if defined(MTIA_SIMD_VEC128)
 
 namespace mtia::simd
 {
@@ -104,4 +104,4 @@ vec128GemmKernel()
 
 } // namespace mtia::simd
 
-#endif // MTIA_SIMD_SSE2 || MTIA_SIMD_NEON
+#endif // MTIA_SIMD_VEC128

@@ -52,9 +52,9 @@ gatherAccumulateScalar(const float *const *rows, const float *weights,
 
 void
 gatherAccumulate(const float *const *rows, const float *weights,
-                 std::size_t count, std::int64_t dim, float *out)
+                 std::size_t count, std::int64_t dim, float *out,
+                 simd::SimdIsa isa)
 {
-    using simd::VecF32;
     constexpr std::size_t kLookahead = 4;
     constexpr std::int64_t kFloatsPerLine = 16;
     for (std::size_t p = 0; p < count; ++p) {
@@ -64,21 +64,26 @@ gatherAccumulate(const float *const *rows, const float *weights,
                 simd::prefetch(next + off);
         }
         const float *row = rows[p];
-        const VecF32 w = VecF32::broadcast(weights[p]);
         std::int64_t d = 0;
-        for (; d + 2 * static_cast<std::int64_t>(simd::kLanes) <= dim;
-             d += 2 * static_cast<std::int64_t>(simd::kLanes)) {
+#if defined(MTIA_SIMD_VEC128)
+        if (isa != simd::SimdIsa::Scalar) {
+            using simd::VecF32;
+            const VecF32 w = VecF32::broadcast(weights[p]);
             const auto l = static_cast<std::int64_t>(simd::kLanes);
-            (VecF32::load(out + d) + VecF32::load(row + d) * w)
-                .store(out + d);
-            (VecF32::load(out + d + l) + VecF32::load(row + d + l) * w)
-                .store(out + d + l);
+            for (; d + 2 * l <= dim; d += 2 * l) {
+                (VecF32::load(out + d) + VecF32::load(row + d) * w)
+                    .store(out + d);
+                (VecF32::load(out + d + l) + VecF32::load(row + d + l) * w)
+                    .store(out + d + l);
+            }
+            for (; d + l <= dim; d += l) {
+                (VecF32::load(out + d) + VecF32::load(row + d) * w)
+                    .store(out + d);
+            }
         }
-        for (; d + static_cast<std::int64_t>(simd::kLanes) <= dim;
-             d += static_cast<std::int64_t>(simd::kLanes)) {
-            (VecF32::load(out + d) + VecF32::load(row + d) * w)
-                .store(out + d);
-        }
+#else
+        (void)isa;
+#endif
         for (; d < dim; ++d) {
             const float prod = weights[p] * row[d];
             out[d] = out[d] + prod;
@@ -153,6 +158,7 @@ TbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
     std::vector<float> weights(pool);
     std::vector<const float *> ptrs(pool);
 
+    const simd::SimdIsa isa = simd::activeIsa();
     std::uint64_t gathered = 0;
     for (std::int64_t b = 0; b < batch_; ++b) {
         for (std::int64_t t = 0; t < spec_.tables; ++t) {
@@ -189,7 +195,7 @@ TbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
             float *dst =
                 outf + (b * spec_.tables + t) * spec_.dim;
             tbe_kernels::gatherAccumulate(ptrs.data(), weights.data(),
-                                          pool, spec_.dim, dst);
+                                          pool, spec_.dim, dst, isa);
             gathered += pool;
         }
     }

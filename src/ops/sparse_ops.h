@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/simd.h"
 #include "ops/op.h"
 #include "tensor/jagged.h"
 
@@ -21,13 +22,16 @@ namespace tbe_kernels {
 
 /**
  * Accumulate @p count weighted embedding rows into one output row:
- * out[d] += weights[p] * rows[p][d] for p in order. Blocked over the
- * embedding dimension with software prefetch of upcoming rows;
- * bit-identical to gatherAccumulateScalar (separate multiply and add,
- * accumulation order over p preserved).
+ * out[d] += weights[p] * rows[p][d] for p in order, with software
+ * prefetch of upcoming rows. On a vector @p isa the embedding
+ * dimension is blocked into 128-bit vectors; on SimdIsa::Scalar the
+ * per-element loop runs alone. Bit-identical to gatherAccumulateScalar
+ * either way (separate multiply and add, accumulation order over p
+ * preserved). A caller gathering many groups resolves @p isa once.
  */
 void gatherAccumulate(const float *const *rows, const float *weights,
-                      std::size_t count, std::int64_t dim, float *out);
+                      std::size_t count, std::int64_t dim, float *out,
+                      simd::SimdIsa isa = simd::activeIsa());
 
 /** Element-at-a-time reference for gatherAccumulate. */
 void gatherAccumulateScalar(const float *const *rows,

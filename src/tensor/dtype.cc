@@ -161,6 +161,8 @@ roundTrip(float f, DType t)
 
 namespace {
 
+#if defined(MTIA_SIMD_VEC128)
+
 using simd::VecF32;
 using simd::VecI32;
 
@@ -279,41 +281,58 @@ bf16FromFp32Vec(VecI32 x)
     return simd::select(is_nan, nan16, rne);
 }
 
-template <VecI32 (&Kernel)(VecI32), std::uint16_t (&Ref)(float)>
+#endif // MTIA_SIMD_VEC128
+
+/**
+ * fp32 -> 16-bit float over a buffer: eight lanes per step through
+ * the branch-free vector kernel when a vector tier is active, then the
+ * per-element reference for the tail (the whole buffer on the scalar
+ * tier).
+ */
+template <DType To>
 void
 narrowBuffer(const float *src, std::uint16_t *dst, std::size_t n)
 {
     std::size_t i = 0;
-    for (; i + 2 * simd::kLanes <= n; i += 2 * simd::kLanes) {
-        const VecI32 a =
-            Kernel(simd::bitcastToI32(VecF32::load(src + i)));
-        const VecI32 b = Kernel(
-            simd::bitcastToI32(VecF32::load(src + i + simd::kLanes)));
-        simd::storeLow16(a, b, dst + i);
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        constexpr auto kernel =
+            To == DType::FP16 ? fp16FromFp32Vec : bf16FromFp32Vec;
+        for (; i + 2 * simd::kLanes <= n; i += 2 * simd::kLanes) {
+            const VecI32 a =
+                kernel(simd::bitcastToI32(VecF32::load(src + i)));
+            const VecI32 b = kernel(
+                simd::bitcastToI32(VecF32::load(src + i + simd::kLanes)));
+            simd::storeLow16(a, b, dst + i);
+        }
     }
+#endif
+    constexpr auto ref =
+        To == DType::FP16 ? fp32ToFp16Bits : fp32ToBf16Bits;
     for (; i < n; ++i)
-        dst[i] = Ref(src[i]);
+        dst[i] = ref(src[i]);
 }
 
-template <float (&Ref)(std::uint16_t)>
+/** 16-bit float -> fp32 over a buffer; same tier split as narrowBuffer. */
+template <DType From>
 void
-widenBuffer(const std::uint16_t *src, float *dst, std::size_t n,
-            bool bf16)
+widenBuffer(const std::uint16_t *src, float *dst, std::size_t n)
 {
     std::size_t i = 0;
-    if (bf16) {
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
         for (; i + simd::kLanes <= n; i += simd::kLanes) {
             const VecI32 h = simd::loadU16AsI32(src + i);
-            simd::bitcastToF32(simd::shiftLeft<16>(h)).store(dst + i);
-        }
-    } else {
-        for (; i + simd::kLanes <= n; i += simd::kLanes) {
-            const VecI32 h = simd::loadU16AsI32(src + i);
-            simd::bitcastToF32(fp32FromFp16Vec(h)).store(dst + i);
+            const VecI32 x = From == DType::FP16 ? fp32FromFp16Vec(h)
+                                                 : simd::shiftLeft<16>(h);
+            simd::bitcastToF32(x).store(dst + i);
         }
     }
+#endif
+    constexpr auto ref =
+        From == DType::FP16 ? fp16BitsToFp32 : bf16BitsToFp32;
     for (; i < n; ++i)
-        dst[i] = Ref(src[i]);
+        dst[i] = ref(src[i]);
 }
 
 } // namespace
@@ -325,9 +344,9 @@ convertBuffer(const float *src, std::uint16_t *dst, std::size_t n,
     MTIA_DCHECK(to == DType::FP16 || to == DType::BF16)
         << ": convertBuffer target must be a 16-bit float dtype";
     if (to == DType::FP16)
-        narrowBuffer<fp16FromFp32Vec, fp32ToFp16Bits>(src, dst, n);
+        narrowBuffer<DType::FP16>(src, dst, n);
     else
-        narrowBuffer<bf16FromFp32Vec, fp32ToBf16Bits>(src, dst, n);
+        narrowBuffer<DType::BF16>(src, dst, n);
     numerics::noteBytesConverted(n * sizeof(float));
 }
 
@@ -338,9 +357,9 @@ convertBuffer(const std::uint16_t *src, float *dst, std::size_t n,
     MTIA_DCHECK(from == DType::FP16 || from == DType::BF16)
         << ": convertBuffer source must be a 16-bit float dtype";
     if (from == DType::FP16)
-        widenBuffer<fp16BitsToFp32>(src, dst, n, false);
+        widenBuffer<DType::FP16>(src, dst, n);
     else
-        widenBuffer<bf16BitsToFp32>(src, dst, n, true);
+        widenBuffer<DType::BF16>(src, dst, n);
     numerics::noteBytesConverted(n * sizeof(std::uint16_t));
 }
 

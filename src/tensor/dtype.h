@@ -15,7 +15,8 @@
  *    bf16BitsToFp32 — the branchy scalar reference semantics; fine
  *    for single values and cold paths;
  *  - convertBuffer — the batch kernel layer. Branch-free
- *    (mask/select) round-to-nearest-even over core/simd.h vectors,
+ *    (mask/select) round-to-nearest-even over core/simd.h vectors on
+ *    any vector tier (per element on SimdIsa::Scalar),
  *    bit-identical to the per-element functions for every input
  *    including NaN payloads, ±0, denormals, and ties. scalar::
  *    convertBuffer is the element-at-a-time reference loop the

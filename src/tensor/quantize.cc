@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/check.h"
 #include "core/simd.h"
@@ -11,15 +12,20 @@ namespace mtia {
 
 namespace {
 
-/** Max |x| over rows [r0, r1) of a rank-2 tensor (reference path). */
+/** Max |x| over rows [r0, r1) of a rank-2 tensor (reference path);
+ * NaN when any element is NaN or ±Inf, like absMaxRange. */
 float
 absMaxOverRows(const Tensor &t, std::int64_t r0, std::int64_t r1)
 {
     const std::int64_t k = t.shape().dim(1);
     float m = 0.0f;
     for (std::int64_t r = r0; r < r1; ++r) {
-        for (std::int64_t c = 0; c < k; ++c)
-            m = std::max(m, std::abs(t.at2(r, c)));
+        for (std::int64_t c = 0; c < k; ++c) {
+            const float a = std::abs(t.at2(r, c));
+            if (!std::isfinite(a))
+                return std::numeric_limits<float>::quiet_NaN();
+            m = std::max(m, a);
+        }
     }
     return m;
 }
@@ -37,39 +43,61 @@ quantizeGroup(const Tensor &src, Tensor &dst, std::int64_t r0,
     }
 }
 
+#if defined(MTIA_SIMD_VEC128)
 using simd::VecF32;
 using simd::VecI32;
+#endif
 
 /**
- * Max |x| over a contiguous range, single fused pass: a running
- * min and max per lane, then amax = max(-min, max) reduced across
- * lanes. Exactly equals the sequential max(|x_i|) because float
- * min/max are exact and associative for non-NaN inputs and
- * |x| = max(-x, x).
+ * Max |x| over a contiguous range, single fused pass; NaN when any
+ * element is NaN or ±Inf, so a caller fails closed with one
+ * std::isfinite check (an INT8 scale for such input is meaningless,
+ * and min/max reductions disagree on NaN across tiers).
+ *
+ * The vector path keeps a running min and max per lane, then
+ * amax = max(-min, max) reduced across lanes. That exactly equals the
+ * sequential max(|x_i|) because float min/max are exact and
+ * associative for non-NaN inputs and |x| = max(-x, x). The same pass
+ * flags any lane whose |x| bit pattern lies above the largest finite
+ * float (0x7f7fffff).
  */
 float
 absMaxRange(const float *src, std::size_t n)
 {
     float m = 0.0f;
+    bool finite = true;
     std::size_t i = 0;
-    if (n >= simd::kLanes) {
+#if defined(MTIA_SIMD_VEC128)
+    if (n >= simd::kLanes && simd::activeIsa() != simd::SimdIsa::Scalar) {
+        const VecI32 abs_mask = VecI32::broadcastBits(0x7fffffffu);
+        const VecI32 max_finite = VecI32::broadcastBits(0x7f7fffffu);
         VecF32 lo = VecF32::broadcast(0.0f);
         VecF32 hi = VecF32::broadcast(0.0f);
+        VecI32 bad = VecI32::broadcast(0);
         for (; i + simd::kLanes <= n; i += simd::kLanes) {
             const VecF32 v = VecF32::load(src + i);
             lo = simd::vmin(lo, v);
             hi = simd::vmax(hi, v);
+            bad = bad |
+                simd::cmpGt(simd::bitcastToI32(v) & abs_mask, max_finite);
         }
         float lanes_lo[simd::kLanes];
         float lanes_hi[simd::kLanes];
+        std::int32_t lanes_bad[simd::kLanes];
         lo.store(lanes_lo);
         hi.store(lanes_hi);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
+        bad.store(lanes_bad);
+        for (std::size_t l = 0; l < simd::kLanes; ++l) {
             m = std::max(m, std::max(-lanes_lo[l], lanes_hi[l]));
+            finite = finite && lanes_bad[l] == 0;
+        }
     }
-    for (; i < n; ++i)
+#endif
+    for (; i < n; ++i) {
         m = std::max(m, std::abs(src[i]));
-    return m;
+        finite = finite && std::isfinite(src[i]);
+    }
+    return finite ? m : std::numeric_limits<float>::quiet_NaN();
 }
 
 /**
@@ -82,28 +110,32 @@ absMaxRange(const float *src, std::size_t n)
  * Clamp-then-round equals the scalar round-then-clamp everywhere:
  * both are the identity inside (-128.5, 127.5)-ish, and outside it
  * both pin to the same endpoint (e.g. 127.6 -> 127.0 -> 127 vs
- * nearbyint(127.6) = 128 -> 127).
+ * nearbyint(127.6) = 128 -> 127). @pre every element is finite.
  */
 void
 quantizeRange(const float *src, std::uint8_t *dst, std::size_t n,
               float inv)
 {
-    const VecF32 vinv = VecF32::broadcast(inv);
-    const VecF32 lo = VecF32::broadcast(-128.0f);
-    const VecF32 hi = VecF32::broadcast(127.0f);
-    const auto quant = [&](const float *p) {
-        const VecF32 v =
-            simd::vmin(simd::vmax(VecF32::load(p) * vinv, lo), hi);
-        return simd::toI32Rtne(v);
-    };
     std::size_t i = 0;
-    for (; i + 4 * simd::kLanes <= n; i += 4 * simd::kLanes) {
-        const VecI32 a = quant(src + i);
-        const VecI32 b = quant(src + i + simd::kLanes);
-        const VecI32 c = quant(src + i + 2 * simd::kLanes);
-        const VecI32 d = quant(src + i + 3 * simd::kLanes);
-        simd::storeI8Saturate(a, b, c, d, dst + i);
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        const VecF32 vinv = VecF32::broadcast(inv);
+        const VecF32 lo = VecF32::broadcast(-128.0f);
+        const VecF32 hi = VecF32::broadcast(127.0f);
+        const auto quant = [&](const float *p) {
+            const VecF32 v =
+                simd::vmin(simd::vmax(VecF32::load(p) * vinv, lo), hi);
+            return simd::toI32Rtne(v);
+        };
+        for (; i + 4 * simd::kLanes <= n; i += 4 * simd::kLanes) {
+            const VecI32 a = quant(src + i);
+            const VecI32 b = quant(src + i + simd::kLanes);
+            const VecI32 c = quant(src + i + 2 * simd::kLanes);
+            const VecI32 d = quant(src + i + 3 * simd::kLanes);
+            simd::storeI8Saturate(a, b, c, d, dst + i);
+        }
     }
+#endif
     for (; i < n; ++i) {
         const float q =
             std::clamp(std::nearbyint(src[i] * inv), -128.0f, 127.0f);
@@ -116,16 +148,42 @@ void
 dequantRange(const std::uint8_t *src, float *dst, std::size_t n,
              float s)
 {
-    const VecF32 vs = VecF32::broadcast(s);
     std::size_t i = 0;
-    for (; i + simd::kLanes <= n; i += simd::kLanes) {
-        const VecF32 v = simd::toF32(simd::loadI8AsI32(src + i));
-        (v * vs).store(dst + i);
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        const VecF32 vs = VecF32::broadcast(s);
+        for (; i + simd::kLanes <= n; i += simd::kLanes) {
+            const VecF32 v = simd::toF32(simd::loadI8AsI32(src + i));
+            (v * vs).store(dst + i);
+        }
     }
+#endif
     for (; i < n; ++i) {
         dst[i] =
             static_cast<float>(static_cast<std::int8_t>(src[i])) * s;
     }
+}
+
+/**
+ * |x| at the given percentile of a contiguous range (the static
+ * calibration clip); NaN when any element is NaN or ±Inf, checked in
+ * the same pass that takes the magnitudes, before the sort.
+ */
+float
+percentileAbs(const float *src, std::size_t n, double percentile)
+{
+    if (n == 0)
+        return 0.0f;
+    std::vector<float> mags(src, src + n);
+    for (float &v : mags) {
+        v = std::abs(v);
+        if (!std::isfinite(v))
+            return std::numeric_limits<float>::quiet_NaN();
+    }
+    std::sort(mags.begin(), mags.end());
+    const auto rank = static_cast<std::size_t>(
+        percentile / 100.0 * static_cast<double>(mags.size() - 1));
+    return mags[rank];
 }
 
 /**
@@ -196,6 +254,8 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
         const auto off = static_cast<std::size_t>(r0 * k);
         const auto len = static_cast<std::size_t>((r1 - r0) * k);
         const float amax = absMaxRange(f + off, len);
+        MTIA_CHECK(std::isfinite(amax))
+            << ": quantizeDynamic input holds NaN or Inf";
         const float scale = amax / 127.0f;
         out.scales.push_back(scale);
         const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
@@ -216,19 +276,11 @@ quantizeStatic(const Tensor &weights, double saturate_percentile)
     std::vector<float> scratch;
     const float *f = floatView(weights, scratch);
 
-    float amax = 0.0f;
-    if (saturate_percentile >= 100.0) {
-        amax = absMaxRange(f, n);
-    } else {
-        std::vector<float> mags(f, f + n);
-        for (float &v : mags)
-            v = std::abs(v);
-        std::sort(mags.begin(), mags.end());
-        const auto rank = static_cast<std::size_t>(
-            saturate_percentile / 100.0 *
-            static_cast<double>(mags.size() - 1));
-        amax = mags[rank];
-    }
+    const float amax = saturate_percentile >= 100.0
+        ? absMaxRange(f, n)
+        : percentileAbs(f, n, saturate_percentile);
+    MTIA_CHECK(std::isfinite(amax))
+        << ": quantizeStatic weights hold NaN or Inf";
 
     QuantizedTensor out;
     out.values = Tensor(weights.shape(), DType::INT8);
@@ -334,6 +386,8 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
     for (std::int64_t r0 = 0; r0 < m; r0 += group) {
         const std::int64_t r1 = std::min(m, r0 + group);
         const float amax = absMaxOverRows(src, r0, r1);
+        MTIA_CHECK(std::isfinite(amax))
+            << ": scalar::quantizeDynamic input holds NaN or Inf";
         const float scale = amax / 127.0f;
         out.scales.push_back(scale);
         quantizeGroup(src, out.values, r0, r1, scale);

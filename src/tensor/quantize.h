@@ -50,7 +50,8 @@ struct QuantizedTensor
 /**
  * Symmetric dynamic quantization of a rank-2 activation tensor.
  * Scales are derived from the observed min/max magnitude, exactly as
- * the RE/SIMD pipeline computes them.
+ * the RE/SIMD pipeline computes them. Fails closed (MTIA_CHECK) when
+ * the input holds a NaN or ±Inf: such a row has no INT8 scale.
  *
  * @param src Rank-2 float tensor [M, K].
  * @param granularity Scale granularity.
@@ -62,7 +63,8 @@ QuantizedTensor quantizeDynamic(const Tensor &src,
 
 /**
  * Static symmetric quantization for weights with a calibration
- * saturation percentile (clipping outliers improves SQNR).
+ * saturation percentile (clipping outliers improves SQNR). Fails
+ * closed (MTIA_CHECK) on a NaN or ±Inf weight at any percentile.
  */
 QuantizedTensor quantizeStatic(const Tensor &weights,
                                double saturate_percentile = 100.0);
@@ -87,8 +89,8 @@ namespace scalar {
  * Element-at-a-time reference implementations (the seed code paths)
  * of dynamic quantization and dequantization. The vectorized
  * quantizeDynamic / dequantize above are bit-identical to these —
- * same payload bytes, same scales — which the equivalence tests and
- * bench/numerics.cc verify.
+ * same payload bytes, same scales, same NaN/Inf check — which the
+ * equivalence tests and bench/numerics.cc verify.
  */
 QuantizedTensor quantizeDynamic(const Tensor &src,
                                 QuantGranularity granularity,

@@ -428,28 +428,23 @@ TEST(SurrogateTest, TrainingIsByteIdenticalAcrossLaneCounts)
         x.push_back(syntheticFeatures(i * 7));
         y.push_back(syntheticCost(i * 7));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        std::string ref_dump;
-        std::vector<double> ref_pred;
-        for (const unsigned lanes : {1u, 2u, 8u}) {
-            ScopedParallelism scoped(lanes);
-            const auto model = makeSurrogate(kind);
-            model->fit(x, y);
-            std::vector<double> pred;
-            for (std::size_t i = 0; i < 300; i += 11)
-                pred.push_back(model->predict(syntheticFeatures(i)));
-            if (lanes == 1) {
-                ref_dump = model->describe();
-                ref_pred = pred;
-                continue;
-            }
-            // Byte-identical model (hex-float dump) and predictions.
-            EXPECT_EQ(model->describe(), ref_dump)
-                << surrogateKindName(kind) << " at " << lanes
-                << " lanes";
-            EXPECT_EQ(pred, ref_pred);
+    std::string ref_dump;
+    std::vector<double> ref_pred;
+    for (const unsigned lanes : {1u, 2u, 8u}) {
+        ScopedParallelism scoped(lanes);
+        const auto model = makeSurrogate(SurrogateKind::Stumps);
+        model->fit(x, y);
+        std::vector<double> pred;
+        for (std::size_t i = 0; i < 300; i += 11)
+            pred.push_back(model->predict(syntheticFeatures(i)));
+        if (lanes == 1) {
+            ref_dump = model->describe();
+            ref_pred = pred;
+            continue;
         }
+        // Byte-identical model (hex-float dump) and predictions.
+        EXPECT_EQ(model->describe(), ref_dump) << lanes << " lanes";
+        EXPECT_EQ(pred, ref_pred);
     }
 }
 
@@ -478,8 +473,7 @@ TEST(SurrogateTest, SweepIsByteIdenticalAcrossLaneCounts)
 TEST(SurrogateTest, MonotoneCostLearnsMonotonePredictions)
 {
     // Cost strictly increasing in feature 0: the fitted model must
-    // rank a far-right candidate above a far-left one, for both
-    // backends.
+    // rank a far-right candidate above a far-left one.
     std::vector<FeatureVec> x;
     std::vector<double> y;
     for (std::size_t i = 0; i < 64; ++i) {
@@ -488,51 +482,40 @@ TEST(SurrogateTest, MonotoneCostLearnsMonotonePredictions)
         x.push_back(f);
         y.push_back(10.0 + 3.0 * static_cast<double>(i));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        const auto model = makeSurrogate(kind);
-        model->fit(x, y);
-        FeatureVec lo{};
-        lo[0] = 4.0;
-        FeatureVec mid{};
-        mid[0] = 32.0;
-        FeatureVec hi{};
-        hi[0] = 60.0;
-        EXPECT_LT(model->predict(lo), model->predict(mid))
-            << surrogateKindName(kind);
-        EXPECT_LT(model->predict(mid), model->predict(hi))
-            << surrogateKindName(kind);
-    }
+    const auto model = makeSurrogate(SurrogateKind::Stumps);
+    model->fit(x, y);
+    FeatureVec lo{};
+    lo[0] = 4.0;
+    FeatureVec mid{};
+    mid[0] = 32.0;
+    FeatureVec hi{};
+    hi[0] = 60.0;
+    EXPECT_LT(model->predict(lo), model->predict(mid));
+    EXPECT_LT(model->predict(mid), model->predict(hi));
 }
 
 TEST(SurrogateTest, HeldOutAccuracyOnSmoothSyntheticCost)
 {
     // Train on a 48-sample stride, score on held-out indices: the
-    // relative MAE must clear a loose bound for both backends (the
-    // synthetic landscape spans ~[50, 530]).
+    // relative MAE must clear a loose bound (the synthetic landscape
+    // spans ~[50, 530]).
     std::vector<FeatureVec> x;
     std::vector<double> y;
     for (std::size_t i = 0; i < 400; i += 8) {
         x.push_back(syntheticFeatures(i));
         y.push_back(syntheticCost(i));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        const auto model = makeSurrogate(kind);
-        model->fit(x, y);
-        double abs_err = 0.0;
-        double mean = 0.0;
-        std::size_t held = 0;
-        for (std::size_t i = 3; i < 400; i += 8) {
-            abs_err += std::abs(model->predict(syntheticFeatures(i)) -
-                                syntheticCost(i));
-            mean += syntheticCost(i);
-            ++held;
-        }
-        const double mae_pct =
-            abs_err / mean * 100.0;
-        EXPECT_LT(mae_pct, 10.0) << surrogateKindName(kind);
+    const auto model = makeSurrogate(SurrogateKind::Stumps);
+    model->fit(x, y);
+    double abs_err = 0.0;
+    double mean = 0.0;
+    for (std::size_t i = 3; i < 400; i += 8) {
+        abs_err += std::abs(model->predict(syntheticFeatures(i)) -
+                            syntheticCost(i));
+        mean += syntheticCost(i);
     }
+    const double mae_pct = abs_err / mean * 100.0;
+    EXPECT_LT(mae_pct, 10.0);
 }
 
 TEST(SurrogateTest, DisabledSweepIsExhaustiveAndFindsTrueArgmin)

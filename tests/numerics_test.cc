@@ -2,8 +2,10 @@
  * Vectorized numerics kernel layer: the SIMD batch paths
  * (tensor/dtype convertBuffer, tensor/quantize, host/compression rANS
  * v2 + hash-chain LZ, ops/sparse_ops gather) must be bit-identical to
- * their element-at-a-time scalar references on every backend,
- * including the forced-scalar MTIA_NO_SIMD build.
+ * their element-at-a-time scalar references. The dtype, quantize and
+ * gather tests run the kernel side under every supported tier
+ * (ScopedIsa), so each run checks the vector and scalar paths whatever
+ * MTIA_SIMD_ISA says.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/check.h"
 #include "core/numerics_stats.h"
 #include "core/simd.h"
 #include "host/compression.h"
@@ -26,6 +29,20 @@
 
 namespace mtia {
 namespace {
+
+std::vector<simd::SimdIsa>
+supportedTiers()
+{
+    std::vector<simd::SimdIsa> tiers;
+    for (const simd::SimdIsa isa :
+         {simd::SimdIsa::Scalar, simd::SimdIsa::Sse2,
+          simd::SimdIsa::Neon, simd::SimdIsa::Avx2,
+          simd::SimdIsa::Avx512}) {
+        if (simd::isaSupported(isa))
+            tiers.push_back(isa);
+    }
+    return tiers;
+}
 
 std::uint32_t
 floatBits(float f)
@@ -84,12 +101,17 @@ specialFloats()
 TEST(NumericsDtype, Fp16SpecialsMatchScalarAndPerElement)
 {
     const std::vector<float> src = specialFloats();
-    const auto vec = narrowSimd(src, DType::FP16);
     const auto ref = narrowScalar(src, DType::FP16);
-    ASSERT_EQ(vec.size(), ref.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
-        EXPECT_EQ(vec[i], fp32ToFp16Bits(src[i])) << "input " << src[i];
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        const auto vec = narrowSimd(src, DType::FP16);
+        ASSERT_EQ(vec.size(), ref.size());
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            EXPECT_EQ(vec[i], ref[i])
+                << simd::isaName(isa) << " input " << src[i];
+            EXPECT_EQ(vec[i], fp32ToFp16Bits(src[i]))
+                << simd::isaName(isa) << " input " << src[i];
+        }
     }
     // Absolute anchors for the interesting classes.
     EXPECT_EQ(fp32ToFp16Bits(0.0f), 0x0000);
@@ -120,11 +142,16 @@ TEST(NumericsDtype, Bf16SpecialsAndTiesMatchScalar)
     src.push_back(odd_tie);
     src.push_back(nan_payload);
 
-    const auto vec = narrowSimd(src, DType::BF16);
     const auto ref = narrowScalar(src, DType::BF16);
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
-        EXPECT_EQ(vec[i], fp32ToBf16Bits(src[i])) << "input " << src[i];
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        const auto vec = narrowSimd(src, DType::BF16);
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            EXPECT_EQ(vec[i], ref[i])
+                << simd::isaName(isa) << " input " << src[i];
+            EXPECT_EQ(vec[i], fp32ToBf16Bits(src[i]))
+                << simd::isaName(isa) << " input " << src[i];
+        }
     }
     EXPECT_EQ(fp32ToBf16Bits(even_tie), 0x3f80);
     EXPECT_EQ(fp32ToBf16Bits(odd_tie), 0x3f82);
@@ -139,13 +166,17 @@ TEST(NumericsDtype, Fp16WidenExhaustiveAllBitPatterns)
     for (std::size_t i = 0; i < bits.size(); ++i)
         bits[i] = static_cast<std::uint16_t>(i);
     std::vector<float> vec(bits.size()), ref(bits.size());
-    convertBuffer(bits.data(), vec.data(), bits.size(), DType::FP16);
     scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
                           DType::FP16);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
-        EXPECT_EQ(floatBits(vec[i]), floatBits(fp16BitsToFp32(bits[i])))
-            << "bits " << i;
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        convertBuffer(bits.data(), vec.data(), bits.size(), DType::FP16);
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i]))
+                << simd::isaName(isa) << " bits " << i;
+            EXPECT_EQ(floatBits(vec[i]), floatBits(fp16BitsToFp32(bits[i])))
+                << simd::isaName(isa) << " bits " << i;
+        }
     }
     // Anchors: inf, -0, smallest denormal.
     EXPECT_EQ(fp16BitsToFp32(0x7c00),
@@ -160,13 +191,17 @@ TEST(NumericsDtype, Bf16WidenExhaustiveAllBitPatterns)
     for (std::size_t i = 0; i < bits.size(); ++i)
         bits[i] = static_cast<std::uint16_t>(i);
     std::vector<float> vec(bits.size()), ref(bits.size());
-    convertBuffer(bits.data(), vec.data(), bits.size(), DType::BF16);
     scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
                           DType::BF16);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
-        EXPECT_EQ(floatBits(vec[i]), floatBits(bf16BitsToFp32(bits[i])))
-            << "bits " << i;
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        convertBuffer(bits.data(), vec.data(), bits.size(), DType::BF16);
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i]))
+                << simd::isaName(isa) << " bits " << i;
+            EXPECT_EQ(floatBits(vec[i]), floatBits(bf16BitsToFp32(bits[i])))
+                << simd::isaName(isa) << " bits " << i;
+        }
     }
 }
 
@@ -185,14 +220,18 @@ TEST(NumericsDtype, RandomizedMillionElementEquivalence)
         if (i % 991 == 0)
             src[i] = std::numeric_limits<float>::infinity();
     }
-    EXPECT_EQ(narrowSimd(src, DType::FP16), narrowScalar(src, DType::FP16));
-    EXPECT_EQ(narrowSimd(src, DType::BF16), narrowScalar(src, DType::BF16));
-
-    const auto h = narrowSimd(src, DType::FP16);
+    const auto h = narrowScalar(src, DType::FP16);
+    const auto b = narrowScalar(src, DType::BF16);
     std::vector<float> wide_vec(kN), wide_ref(kN);
-    convertBuffer(h.data(), wide_vec.data(), kN, DType::FP16);
     scalar::convertBuffer(h.data(), wide_ref.data(), kN, DType::FP16);
-    EXPECT_EQ(std::memcmp(wide_vec.data(), wide_ref.data(), kN * 4), 0);
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        EXPECT_EQ(narrowSimd(src, DType::FP16), h) << simd::isaName(isa);
+        EXPECT_EQ(narrowSimd(src, DType::BF16), b) << simd::isaName(isa);
+        convertBuffer(h.data(), wide_vec.data(), kN, DType::FP16);
+        EXPECT_EQ(std::memcmp(wide_vec.data(), wide_ref.data(), kN * 4), 0)
+            << simd::isaName(isa);
+    }
 }
 
 TEST(NumericsDtype, OddLengthsExerciseVectorTails)
@@ -202,12 +241,15 @@ TEST(NumericsDtype, OddLengthsExerciseVectorTails)
         std::vector<float> src(n);
         for (float &v : src)
             v = static_cast<float>(rng.gaussian(0.0, 100.0));
-        EXPECT_EQ(narrowSimd(src, DType::FP16),
-                  narrowScalar(src, DType::FP16))
-            << "n=" << n;
-        EXPECT_EQ(narrowSimd(src, DType::BF16),
-                  narrowScalar(src, DType::BF16))
-            << "n=" << n;
+        for (const simd::SimdIsa isa : supportedTiers()) {
+            simd::ScopedIsa scope(isa);
+            EXPECT_EQ(narrowSimd(src, DType::FP16),
+                      narrowScalar(src, DType::FP16))
+                << simd::isaName(isa) << " n=" << n;
+            EXPECT_EQ(narrowSimd(src, DType::BF16),
+                      narrowScalar(src, DType::BF16))
+                << simd::isaName(isa) << " n=" << n;
+        }
     }
 }
 
@@ -233,19 +275,23 @@ TEST(NumericsQuantize, DynamicMatchesScalarAcrossGranularities)
                          Case{QuantGranularity::PerRow, 1},
                          Case{QuantGranularity::PerRowGroup, 4},
                          Case{QuantGranularity::PerRowGroup, 16}}) {
-        const QuantizedTensor a =
-            quantizeDynamic(act, c.g, c.group_rows);
         const QuantizedTensor b =
             scalar::quantizeDynamic(act, c.g, c.group_rows);
-        EXPECT_EQ(a.values.raw(), b.values.raw());
-        EXPECT_EQ(a.group_rows, b.group_rows);
-        ASSERT_EQ(a.scales.size(), b.scales.size());
-        EXPECT_EQ(std::memcmp(a.scales.data(), b.scales.data(),
-                              a.scales.size() * 4),
-                  0);
-        const Tensor da = dequantize(a);
         const Tensor db = scalar::dequantize(b);
-        EXPECT_EQ(da.raw(), db.raw());
+        for (const simd::SimdIsa isa : supportedTiers()) {
+            simd::ScopedIsa scope(isa);
+            const QuantizedTensor a =
+                quantizeDynamic(act, c.g, c.group_rows);
+            EXPECT_EQ(a.values.raw(), b.values.raw()) << simd::isaName(isa);
+            EXPECT_EQ(a.group_rows, b.group_rows);
+            ASSERT_EQ(a.scales.size(), b.scales.size());
+            EXPECT_EQ(std::memcmp(a.scales.data(), b.scales.data(),
+                                  a.scales.size() * 4),
+                      0)
+                << simd::isaName(isa);
+            const Tensor da = dequantize(a);
+            EXPECT_EQ(da.raw(), db.raw()) << simd::isaName(isa);
+        }
     }
 }
 
@@ -255,12 +301,57 @@ TEST(NumericsQuantize, StaticPercentileClippedOutliersStaySaturated)
     Tensor w(Shape{64, 64}, DType::FP32);
     w.fillGaussian(rng);
     w.set(0, 1e8f); // outlier far beyond the percentile clip
-    const QuantizedTensor q = quantizeStatic(w, 99.0);
-    // The clipped outlier must pin to +127, not wrap (the int32
-    // overflow case the float-domain pre-clamp guards against).
-    EXPECT_EQ(static_cast<std::int8_t>(q.values.raw()[0]), 127);
-    const Tensor deq = dequantize(q);
-    EXPECT_GT(sqnrDb(w, deq), 0.0);
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        const QuantizedTensor q = quantizeStatic(w, 99.0);
+        // The clipped outlier must pin to +127, not wrap (the int32
+        // overflow case the float-domain pre-clamp guards against).
+        EXPECT_EQ(static_cast<std::int8_t>(q.values.raw()[0]), 127)
+            << simd::isaName(isa);
+        const Tensor deq = dequantize(q);
+        EXPECT_GT(sqnrDb(w, deq), 0.0);
+    }
+    // An empty tensor has nothing to clip: scale 0, and the percentile
+    // rank must not index past the empty magnitude list.
+    const QuantizedTensor empty =
+        quantizeStatic(Tensor(Shape{0, 4}, DType::FP32), 99.0);
+    ASSERT_EQ(empty.scales.size(), 1u);
+    EXPECT_EQ(empty.scales[0], 0.0f);
+}
+
+TEST(NumericsQuantize, NonFiniteInputFailsClosedOnEveryTier)
+{
+    // A 1x19 row: indices 0..15 go through the vector body, 16..18
+    // through the per-element tail. A NaN or Inf has no INT8 scale,
+    // and unchecked the tiers disagree on it (a NaN quantizes to -128
+    // on SSE2 and to 0 on scalar, via a UB float->int8 cast).
+    ScopedCheckThrow guard;
+    const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()};
+    for (const simd::SimdIsa isa : supportedTiers()) {
+        simd::ScopedIsa scope(isa);
+        for (const float bad : bad_values) {
+            for (const std::int64_t at : {5, 17}) {
+                Tensor row(Shape{1, 19}, DType::FP32);
+                for (std::int64_t i = 0; i < 19; ++i)
+                    row.set(i, 0.25f);
+                EXPECT_NO_THROW(
+                    quantizeDynamic(row, QuantGranularity::PerRow));
+                row.set(at, bad);
+                EXPECT_THROW(quantizeDynamic(row, QuantGranularity::PerRow),
+                             CheckFailedError)
+                    << simd::isaName(isa) << " " << bad << " at " << at;
+                EXPECT_THROW(
+                    scalar::quantizeDynamic(row, QuantGranularity::PerRow),
+                    CheckFailedError);
+                EXPECT_THROW(quantizeStatic(row), CheckFailedError)
+                    << simd::isaName(isa) << " " << bad << " at " << at;
+                EXPECT_THROW(quantizeStatic(row, 99.0), CheckFailedError)
+                    << simd::isaName(isa) << " " << bad << " at " << at;
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------- codec
@@ -368,14 +459,18 @@ TEST(NumericsGather, AccumulateMatchesScalarAcrossDims)
                     rng.below(kPool) * static_cast<std::size_t>(dim);
                 weights[p] = static_cast<float>(rng.uniform(0.5, 1.5));
             }
-            std::vector<float> a(static_cast<std::size_t>(dim), 0.0f);
             std::vector<float> b(static_cast<std::size_t>(dim), 0.0f);
-            tbe_kernels::gatherAccumulate(rows.data(), weights.data(),
-                                          count, dim, a.data());
             tbe_kernels::gatherAccumulateScalar(
                 rows.data(), weights.data(), count, dim, b.data());
-            EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * 4), 0)
-                << "dim=" << dim << " count=" << count;
+            for (const simd::SimdIsa isa : supportedTiers()) {
+                simd::ScopedIsa scope(isa);
+                std::vector<float> a(static_cast<std::size_t>(dim), 0.0f);
+                tbe_kernels::gatherAccumulate(rows.data(), weights.data(),
+                                              count, dim, a.data());
+                EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * 4), 0)
+                    << simd::isaName(isa) << " dim=" << dim
+                    << " count=" << count;
+            }
         }
     }
 }
@@ -384,11 +479,13 @@ TEST(NumericsGather, AccumulateMatchesScalarAcrossDims)
 
 TEST(NumericsSimd, AlignedBufferAndRtneBasics)
 {
-    EXPECT_NE(simd::backendName(), nullptr);
+    EXPECT_NE(simd::isaName(simd::activeIsa()), nullptr);
     simd::AlignedBuffer<float> buf(37);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
                   simd::kAlignment,
               0u);
+
+#if defined(MTIA_SIMD_VEC128)
 
     // RTNE through the lane-wide converter: ties go to even.
     alignas(64) float in[4] = {0.5f, 1.5f, 2.5f, -0.5f};
@@ -399,6 +496,7 @@ TEST(NumericsSimd, AlignedBufferAndRtneBasics)
     EXPECT_EQ(out[1], 2);
     EXPECT_EQ(out[2], 2);
     EXPECT_EQ(out[3], 0);
+#endif
 }
 
 TEST(NumericsStats, CountersAccumulateAndPublish)
