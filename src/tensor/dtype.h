@@ -23,8 +23,8 @@
  *    equivalence tests and benches compare against.
  *
  * Hot loops outside this kernel layer must call convertBuffer, not
- * the per-element functions (enforced by the scalar-hot-loop rule in
- * scripts/check_sim_invariants.py).
+ * the per-element functions (enforced by mtia-lint's scalar-hot-loop
+ * rule).
  */
 
 #include <cstdint>

@@ -100,12 +100,18 @@ Tensor::set(std::int64_t i, float v)
         return;
       }
       case DType::INT8: {
+        // The clamp saturates ±Inf; NaN has no INT8 value, and casting
+        // it to an integer is undefined.
+        MTIA_CHECK(!std::isnan(v)) << ": Tensor::set NaN into INT8";
         const float c = std::clamp(std::nearbyint(v), -128.0f, 127.0f);
         data_[off] = static_cast<std::uint8_t>(
             static_cast<std::int8_t>(c));
         return;
       }
       case DType::INT32: {
+        // Both bounds are exact floats, and NaN fails the comparison.
+        MTIA_CHECK(v >= -2147483648.0f && v < 2147483648.0f)
+            << ": Tensor::set " << v << " outside INT32 range";
         const auto iv = static_cast<std::int32_t>(std::nearbyint(v));
         std::memcpy(data_.data() + off, &iv, 4);
         return;

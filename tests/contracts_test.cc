@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/check.h"
@@ -133,6 +134,42 @@ TEST(ContractsTensor, FromFloatsRejectsMismatchedShape)
     EXPECT_THROW(
         Tensor::fromFloats({1.0f, 2.0f, 3.0f}, Shape{2, 2}, DType::FP32),
         CheckFailedError);
+}
+
+TEST(ContractsTensor, CastToIntegerRejectsUnrepresentableValues)
+{
+    // A float->int cast of NaN or of a value outside the target range
+    // is undefined behaviour; Tensor::set fails closed instead.
+    ScopedCheckThrow guard;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto castOne = [](float v, DType to) {
+        return Tensor::fromFloats({v}, Shape{1}, DType::FP32).cast(to);
+    };
+    const auto expectRejected = [&](float v, DType to) {
+        try {
+            castOne(v, to);
+            ADD_FAILURE() << v << " -> " << dtypeName(to) << " accepted";
+        } catch (const CheckFailedError &e) {
+            EXPECT_NE(std::string(e.what()).find("Tensor::set"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectRejected(nan, DType::INT8);
+    expectRejected(nan, DType::INT32);
+    expectRejected(3e9f, DType::INT32);
+    expectRejected(-3e9f, DType::INT32);
+    expectRejected(2147483648.0f, DType::INT32);
+    expectRejected(inf, DType::INT32);
+
+    // INT8 saturates every non-NaN value; INT32 takes [-2^31, 2^31).
+    EXPECT_EQ(castOne(inf, DType::INT8).at(0), 127.0f);
+    EXPECT_EQ(castOne(-inf, DType::INT8).at(0), -128.0f);
+    EXPECT_EQ(castOne(3e9f, DType::INT8).at(0), 127.0f);
+    EXPECT_EQ(castOne(-2147483648.0f, DType::INT32).at(0),
+              -2147483648.0f);
+    EXPECT_EQ(castOne(2147483520.0f, DType::INT32).at(0), 2147483520.0f);
 }
 
 TEST(ContractsTensor, QuantizedScaleForRejectsOutOfRangeRow)

@@ -1,8 +1,7 @@
 // Positive fixture: unordered-iteration — iterating an unordered
 // container, whose visit order depends on hashing and load factor
 // and therefore varies across libc++/libstdc++ and across runs with
-// pointer-derived keys. Only mtia-lint carries this rule (the Python
-// linter has no token-level view). Never compiled.
+// pointer-derived keys. Never compiled.
 
 #include <cstdint>
 #include <unordered_map>

@@ -12,6 +12,6 @@ violations(int n, int m)
     MTIA_CHECK(--m > 0);
     MTIA_DCHECK_EQ(n = m, 1);
     MTIA_CHECK(n
-               ++ > 0); // reported at the MTIA_CHECK line by both tools
+               ++ > 0); // reported at the MTIA_CHECK line
     return n + m;
 }

@@ -1,6 +1,6 @@
 // Positive fixture: raw-intrinsics — platform SIMD intrinsics called
 // outside the kernel layer (src/core/simd*). Never compiled. Linted
-// with --treat-as-src, so both linters must flag every call site.
+// with --treat-as-src, so every call site must be flagged.
 
 void
 badX86(float *p)

@@ -1,5 +1,5 @@
 // Negative fixture: raw-intrinsics — intrinsic-shaped spellings that
-// must stay clean in both linters. Never compiled.
+// must stay clean. Never compiled.
 
 struct Vec
 {

@@ -1,7 +1,6 @@
 // Positive fixture: wall-clock — host time sources in simulator
 // code. Never compiled. Linted with --treat-as-src, so the
-// telemetry-wall-clock rule fires on the same lines; both linters
-// must report the identical set (lint_parity asserts it).
+// telemetry-wall-clock rule fires on the same lines too.
 
 #include <chrono>
 #include <sys/time.h>

@@ -1,5 +1,5 @@
 // Negative fixture: wall-clock — time-like spellings that must stay
-// clean in both linters. Never compiled.
+// clean. Never compiled.
 
 #include <cstdint>
 

@@ -2,8 +2,8 @@
  * mtia-lint: compiled cross-TU static analyzer for the simulator's
  * determinism and layering invariants.
  *
- * Token-level ports of every scripts/check_sim_invariants.py rule
- * (no string/comment false positives), plus:
+ * Token-level determinism and hygiene rules (no string/comment false
+ * positives), plus:
  *   - a cross-TU include-graph pass enforcing the declared layer DAG
  *     (tools/mtia-lint/layers.def) and rejecting include cycles;
  *   - unordered-iteration, pointer-key-ordered and parallel-capture,
@@ -18,7 +18,9 @@
  *
  * With no PATH arguments, lints src/, bench/ and tools/ under --root
  * and runs the include-graph pass over src/. Exits 1 on any
- * violation, 2 on usage or I/O errors.
+ * violation, 2 on usage or I/O errors: a PATH or --graph-src that does
+ * not exist, a run with no source file to lint, or a --json report
+ * that cannot be written.
  */
 
 #include <algorithm>
@@ -59,14 +61,16 @@ isSourceFile(const fs::path &p)
            ext == ".cpp" || ext == ".cxx";
 }
 
-void
+/** Append the source files at or under @p p to @p out in path order.
+ *  Returns the error that stopped the walk (e.g. @p p does not exist). */
+std::error_code
 collect(const fs::path &p, std::vector<fs::path> &out)
 {
     std::error_code ec;
     if (fs::is_regular_file(p, ec)) {
         if (isSourceFile(p))
             out.push_back(p);
-        return;
+        return {};
     }
     std::vector<fs::path> found;
     for (fs::recursive_directory_iterator it(p, ec), end;
@@ -76,6 +80,7 @@ collect(const fs::path &p, std::vector<fs::path> &out)
     }
     std::sort(found.begin(), found.end());
     out.insert(out.end(), found.begin(), found.end());
+    return ec;
 }
 
 std::string
@@ -102,12 +107,15 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-void
+/** Returns false when @p path cannot be opened or written. */
+bool
 writeJsonReport(const std::string &path, const std::string &root,
                 int files_linted, const std::vector<Finding> &findings,
                 const mtia_lint::IncludeGraph *graph)
 {
     std::ofstream out(path);
+    if (!out)
+        return false;
     out << "{\n  \"schema\": \"mtia-lint-report-v1\",\n"
         << "  \"root\": \"" << jsonEscape(root) << "\",\n"
         << "  \"files_linted\": " << files_linted << ",\n"
@@ -131,6 +139,8 @@ writeJsonReport(const std::string &path, const std::string &root,
         out << "]}";
     }
     out << "\n}\n";
+    out.flush();
+    return static_cast<bool>(out);
 }
 
 int
@@ -201,15 +211,22 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------ targets
     const bool default_targets = opt.paths.empty();
-    std::vector<fs::path> files;
+    std::vector<fs::path> targets;
     if (default_targets) {
         for (const char *d : {"src", "bench", "tools"})
             if (fs::exists(root / d))
-                collect(root / d, files);
+                targets.push_back(root / d);
     } else {
         for (const std::string &p : opt.paths)
-            collect(fs::absolute(p).lexically_normal(), files);
+            targets.push_back(fs::absolute(p).lexically_normal());
     }
+    std::vector<fs::path> files;
+    for (const fs::path &t : targets)
+        if (const std::error_code ec = collect(t, files))
+            return fail("cannot read " + t.string() + ": " +
+                        ec.message());
+    if (files.empty())
+        return fail("no source files to lint");
 
     // -------------------------------------------------- rule engine
     std::vector<Finding> findings;
@@ -253,32 +270,29 @@ main(int argc, char **argv)
         !opt.no_graph && (default_targets || !opt.graph_src.empty() ||
                           opt.dump_module_graph);
     mtia_lint::IncludeGraph graph;
-    bool have_graph = false;
     if (want_graph) {
         const fs::path src_root = opt.graph_src.empty()
                                       ? root / "src"
                                       : fs::absolute(opt.graph_src);
-        if (fs::exists(src_root)) {
-            graph = mtia_lint::buildIncludeGraph(src_root.string());
-            have_graph = true;
-            const std::string prefix =
-                opt.graph_src.empty()
-                    ? "src/"
-                    : src_root.lexically_relative(root)
-                              .generic_string() +
-                          "/";
-            const mtia_lint::LayerTable layers =
-                mtia_lint::loadLayerTable(opt.layers);
-            if (!layers.error.empty())
-                return fail(layers.error);
-            auto graph_findings =
-                mtia_lint::checkLayers(graph, layers, prefix);
-            findings.insert(findings.end(), graph_findings.begin(),
-                            graph_findings.end());
-        }
+        if (!fs::is_directory(src_root))
+            return fail("graph source " + src_root.string() +
+                        " is not a directory");
+        graph = mtia_lint::buildIncludeGraph(src_root.string());
+        const std::string prefix =
+            opt.graph_src.empty()
+                ? "src/"
+                : src_root.lexically_relative(root).generic_string() +
+                      "/";
+        const mtia_lint::LayerTable layers =
+            mtia_lint::loadLayerTable(opt.layers);
+        if (!layers.error.empty())
+            return fail(layers.error);
+        auto graph_findings = mtia_lint::checkLayers(graph, layers, prefix);
+        findings.insert(findings.end(), graph_findings.begin(),
+                        graph_findings.end());
     }
 
-    if (opt.dump_module_graph && have_graph) {
+    if (opt.dump_module_graph && want_graph) {
         for (const std::string &e : mtia_lint::moduleEdges(graph))
             std::cout << e << "\n";
         return 0;
@@ -297,9 +311,10 @@ main(int argc, char **argv)
         std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                   << f.detail << "\n";
 
-    if (!opt.json.empty())
-        writeJsonReport(opt.json, root.string(), files_linted, findings,
-                        have_graph ? &graph : nullptr);
+    if (!opt.json.empty() &&
+        !writeJsonReport(opt.json, root.string(), files_linted, findings,
+                         want_graph ? &graph : nullptr))
+        return fail("cannot write JSON report " + opt.json);
 
     if (!findings.empty()) {
         std::cout << "\n" << findings.size() << " violation(s) in "
@@ -307,7 +322,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "ok: " << files_linted << " file(s) clean";
-    if (have_graph)
+    if (want_graph)
         std::cout << "; include graph: " << graph.file_count
                   << " files, " << graph.edge_count
                   << " edges, layer DAG holds";

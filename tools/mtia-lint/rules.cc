@@ -33,8 +33,8 @@ anyIdent(const Tokens &t, std::size_t i,
     return false;
 }
 
-/** How the token at @p i is qualified, mirroring the Python regexes'
- *  `(?<![\w:.])` lookbehind with an optional `std::`. */
+/** How the token at @p i is qualified: bare, `std::`, a member access
+ *  (`.`/`->`), or some other `::` scope. */
 enum class Qual { None, Std, Member, Other };
 
 Qual
@@ -723,8 +723,8 @@ RuleRunner::run()
                       return a.line < b.line;
                   return a.rule < b.rule;
               });
-    // One finding per (line, rule): the Python linter matches each
-    // rule at most once per physical line, and parity depends on it.
+    // One finding per (line, rule): a line that trips a rule twice is
+    // still one thing to fix.
     findings_.erase(
         std::unique(findings_.begin(), findings_.end(),
                     [](const Finding &a, const Finding &b) {

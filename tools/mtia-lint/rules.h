@@ -3,13 +3,14 @@
 
 /**
  * @file
- * The mtia-lint rule engine: token-level ports of every rule in
- * scripts/check_sim_invariants.py plus the determinism rules that are
- * only feasible with a real lexer (unordered-iteration,
+ * The mtia-lint rule engine: token-level determinism and hygiene
+ * rules (wall-clock, unseeded-rng, raw-output, include-guard,
+ * check-side-effect, telemetry-wall-clock, duplicate-include,
+ * heap-top-copy, scalar-hot-loop, raw-intrinsics), the determinism
+ * rules that need a real lexer (unordered-iteration,
  * pointer-key-ordered, parallel-capture) and the suppression-hygiene
- * rule (bare-allow). Findings carry the same `file:line: [rule]`
- * shape as the Python linter so the two can be diffed directly — the
- * lint_parity ctest does exactly that on the shared fixtures.
+ * rule (bare-allow). Each finding prints as `file:line: [rule] detail`;
+ * the fixture ctests match on the `[rule]` part.
  */
 
 #include <string>
@@ -27,8 +28,9 @@ struct Finding
     std::string detail;
 };
 
-/** Which rule families apply to a file; mirrors the Python linter's
- *  path-derived context exactly. */
+/** Which rule families apply to a file, derived from its path;
+ *  --treat-as-src turns the src/, telemetry and sim-core families on
+ *  everywhere. */
 struct FileContext
 {
     bool in_src = false;        ///< raw-output + new determinism rules
